@@ -29,6 +29,7 @@ __all__ = [
     "scripted_step",
     "scripted_outcome",
     "scripted_remediation_text",
+    "scripted_violation_text",
     "remediation_quality",
     "derive_seed",
 ]
@@ -245,21 +246,12 @@ def scripted_remediation_text(quality: float) -> str:
     )
 
 
-def begin_round(world: ScriptedWorld, state: BargainState) -> tuple[float, float]:
-    """Advance one bargaining round, returning the new (bid, ask).
-
-    Both updates read the previous round's numbers, so the buyer's bid and
-    the seller's ask move simultaneously even though utterances are emitted
-    in sequence.
-    """
-    if state.terminal:
-        raise BackendError("scripted world stepped after terminal state")
-    gap = state.ask - state.bid
-    factor = max(state.goodwill, 0.0) / 2.0
-    new_bid = state.bid + world.concession_buyer * gap * factor
-    new_ask = state.ask - world.concession_seller * gap
-    state.round += 1
-    return new_bid, new_ask
+def scripted_violation_text(ask: float) -> str:
+    """The scripted seller's norm-violating rendering of its ask."""
+    return (
+        f"How can you be so unreasonable? We will not go below {format_money(round(ask))}. "
+        "Take it or leave it!"
+    )
 
 
 def scripted_step(
@@ -272,7 +264,8 @@ def scripted_step(
     """Emit one utterance for the given role and update the bargain state.
 
     The buyer call for a round must precede the seller call; the pending bid
-    and ask are computed together at the buyer call. A seller violation
+    and ask are computed together at the buyer call, from the previous
+    round's numbers, so both move simultaneously. A seller violation
     decrements goodwill by one; an accompanying remediation restores its
     parsed quality.
     """
@@ -280,11 +273,13 @@ def scripted_step(
         raise BackendError("scripted world stepped after terminal state")
 
     if role == "buyer":
-        new_bid, new_ask = begin_round(world, state)
-        state.bid = new_bid
-        state.pending_ask = new_ask
+        gap = state.ask - state.bid
+        factor = max(state.goodwill, 0.0) / 2.0
+        state.bid += world.concession_buyer * gap * factor
+        state.pending_ask = state.ask - world.concession_seller * gap
+        state.round += 1
         return (
-            f"Would you consider selling at {format_money(round(new_bid))} per unit? "
+            f"Would you consider selling at {format_money(round(state.bid))} per unit? "
             "That price would work well for us."
         )
 
@@ -294,7 +289,6 @@ def scripted_step(
     if state.pending_ask is not None:
         state.ask = state.pending_ask
         state.pending_ask = None
-    price = format_money(round(state.ask))
     if violation:
         state.goodwill -= 1.0
         if remediation is not None:
@@ -304,13 +298,10 @@ def scripted_step(
             text = remediation
         else:
             state.unremediated_violations += 1
-            text = (
-                f"How can you be so unreasonable? We will not go below {price}. "
-                "Take it or leave it!"
-            )
+            text = scripted_violation_text(state.ask)
     else:
         text = (
-            f"Considering our costs, we can come down to {price} per unit. "
+            f"Considering our costs, we can come down to {format_money(round(state.ask))} per unit. "
             "We value a long-term relationship with you."
         )
 

@@ -38,7 +38,7 @@ from .prompts import TemplateStore
 from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
-from .simulation import SimulationConfig, simulate
+from .simulation import BUYER_OPENER, SimulationConfig, simulate
 from .valueimpact import (
     build_probe_set,
     estimate_value_impact,
@@ -152,7 +152,6 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     seed = int(_setting(args, cfg, "seed", 0))
     n = int(_setting(args, cfg, "n", 10))
     p_c = float(_setting(args, cfg, "p_c", 0.4))
-    topic = Topic(_setting(args, cfg, "topic", "product_sale"))
     remediation = _setting(args, cfg, "remediate", "off") == "on"
     backend_kind = _setting(args, cfg, "backend", "scripted")
     workers = int(_setting(args, cfg, "workers", 1))
@@ -190,7 +189,6 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
             world=world,
             bounds=world.bounds,
             dialogue_id=f"sim-{i}",
-            topic=topic,
         )
 
     if workers > 1:
@@ -204,7 +202,6 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
         "seed": seed,
         "n": n,
         "p_c": p_c,
-        "topic": topic.value,
         "remediate": remediation,
         "backend": backend_kind,
         "workers": workers,
@@ -400,11 +397,10 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
         ),
         encoding="utf-8",
     )
-    weights = args.weights or "0.7,0.1,0.1,0.1"
     _write_manifest(
         "evaluate",
         out,
-        {"in": args.infile, "weights": weights},
+        {"in": args.infile},
         0,
         started,
         [Path(args.infile)],
@@ -439,7 +435,7 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> int:
     max_turns = int(cfg.get("max_turns", 20))
     if role is Speaker.SELLER:
         # Buyer opens; keep the scripted opener.
-        turns.append(Turn(speaker=Speaker.BUYER, text="Hello, does your esteemed company have a special industrial product?"))
+        turns.append(Turn(speaker=Speaker.BUYER, text=BUYER_OPENER))
         print(f"{Speaker.BUYER.value}: {turns[-1].text}")
     while len(turns) < max_turns and not state.terminal:
         if turns and turns[-1].speaker is not role or not turns:
@@ -506,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate")
-    p.add_argument("--topic", default=None, choices=[t.value for t in Topic])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p-c", dest="p_c", type=float, default=None)
     p.add_argument("--remediate", default=None, choices=["on", "off"])
@@ -556,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--weights", default=None)
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("interactive")

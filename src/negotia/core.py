@@ -40,8 +40,6 @@ class Speaker(str, Enum):
 
 class Topic(str, Enum):
     PRODUCT_SALE = "product_sale"
-    HOUSING_PRICE = "housing_price"
-    SALARY = "salary"
 
 
 class CorpusError(Exception):

@@ -22,7 +22,6 @@ __all__ = [
     "SearchTrace",
     "ImpactFn",
     "split_candidates",
-    "delta",
     "search_optimal_set",
 ]
 
@@ -75,11 +74,6 @@ def split_candidates(
         raise ValueError(f"need more than {n} ranked exemplars, got {len(ranked)}")
     ids = [eid for eid, _impact in ranked]
     return ids[:n], ids[n:]
-
-
-def delta(child_impact: float, parent_impact: float) -> float:
-    """Value impact change of a replacement; non-positive counts as failure."""
-    return child_impact - parent_impact
 
 
 def search_optimal_set(
@@ -144,7 +138,7 @@ def search_optimal_set(
                 log.warning("impact estimation failed for %s: %s", child, exc)
                 failures += 1
                 continue
-            d = delta(child_impact, node.impact)
+            d = child_impact - node.impact  # non-positive counts as a failure
             trace.evaluations.append(
                 Evaluation(members=child, impact=child_impact, parent=node.members, delta=d)
             )

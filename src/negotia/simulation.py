@@ -1,9 +1,9 @@
 """Negotiation rollout engine.
 
 Runs the bilateral negotiation loop with controlled violation injection,
-optional remediation interception, and moderator termination. Two lanes share
-the loop structure: a deterministic scripted lane driven by the bargaining
-world, and a remote lane driven by chat completions.
+optional remediation interception, and moderator termination. The loop is
+written once and runs over one of two lanes: a deterministic scripted lane
+driven by the bargaining world, and a remote lane driven by chat completions.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from .backends import (
     check_round_boundary,
     scripted_outcome,
     scripted_step,
+    scripted_violation_text,
 )
 from .core import Dialogue, PriceBounds, Speaker, Topic, Turn, format_money
+from .outcome import assess_outcome
 from .prompts import TemplateStore, render, render_conversation
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "continue_rollout",
     "BUYER_OPENER",
     "seller_opener",
-    "violation_utterance",
 ]
 
 log = logging.getLogger(__name__)
@@ -45,6 +46,12 @@ log = logging.getLogger(__name__)
 # The two hard-coded opening turns: a buyer question, then the seller's
 # answer stating the initial price.
 BUYER_OPENER = "Hello, does your esteemed company have a special industrial product?"
+
+# Enum member lookups cost a few hundred ns each; the rollout loop uses these.
+_BUYER, _SELLER = Speaker.BUYER, Speaker.SELLER
+
+# Seller line recorded when the provider's content filter refuses the turn.
+WITHHELD = "[withheld by provider content filter]"
 
 # A remediator is any callable from (history, violating text) to a rewrite.
 Remediator = Callable[[tuple[Turn, ...], str], str]
@@ -58,27 +65,18 @@ def seller_opener(bounds: PriceBounds) -> str:
     )
 
 
-def violation_utterance(price: str) -> str:
-    """The scripted seller's norm-violating rendering of its current ask."""
-    return (
-        f"How can you be so unreasonable? We will not go below {price}. "
-        "Take it or leave it!"
-    )
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     p_c: float = 0.4
     remediation_enabled: bool = False
-    single_remediation_point: bool = False
     max_turns: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_c <= 1.0:
             raise ValueError("p_c must be a probability")
-        if self.max_turns < 1:
-            raise ValueError("max_turns must be positive")
+        if self.max_turns < 2:
+            raise ValueError("max_turns must leave room for the two opening turns")
 
 
 @dataclass(frozen=True)
@@ -92,182 +90,173 @@ class ViolationPoint:
 
 def _opening_turns(bounds: PriceBounds) -> list[Turn]:
     return [
-        Turn(speaker=Speaker.BUYER, text=BUYER_OPENER),
-        Turn(speaker=Speaker.SELLER, text=seller_opener(bounds)),
+        Turn(speaker=_BUYER, text=BUYER_OPENER),
+        Turn(speaker=_SELLER, text=seller_opener(bounds)),
     ]
 
 
 # ---------------------------------------------------------------------------
-# Scripted lane
+# Lanes: who speaks and who decides the end
 
 
-def _run_scripted(
-    world: ScriptedWorld,
+class _Halt(Exception):
+    """Raised by a lane to end the rollout where it stands."""
+
+
+class _ScriptedLane:
+    """The bargaining world speaks for both agents and decides the end."""
+
+    def __init__(self, world: ScriptedWorld, max_turns: int):
+        self.world = world
+        self.bounds = world.bounds
+        self.state = BargainState.initial(world)
+        self.max_turns = max_turns
+
+    def buyer(self, turns: list[Turn]) -> str:
+        return scripted_step(self.world, self.state, "buyer")
+
+    def seller(self, turns: list[Turn], violate: bool) -> Optional[str]:
+        if violate:  # the state is charged by violated() once the rewrite is known
+            return scripted_violation_text(self.state.pending_ask)
+        return scripted_step(self.world, self.state, "seller")
+
+    def violated(self, rewrite: Optional[str]) -> None:
+        scripted_step(self.world, self.state, "seller", violation=True, remediation=rewrite)
+
+    def done(self, turns: list[Turn]) -> bool:
+        if turns[-1].speaker is _SELLER:
+            check_round_boundary(self.world, self.state)
+        return self.state.terminal or len(turns) >= self.max_turns
+
+    def dialogue(self, turns: list[Turn], **meta) -> Dialogue:
+        # A bargain still open at the turn cap ends without a deal.
+        self.state.terminal = True
+        outcome = scripted_outcome(self.world, self.state)
+        return Dialogue(bounds=self.bounds, turns=tuple(turns), outcome=outcome, **meta)
+
+
+class _RemoteLane:
+    """Chat sessions speak; the moderator judges every new utterance.
+
+    A seller turn refused by the content filter is recorded as withheld and
+    not judged; any other backend failure ends the dialogue with an error.
+    """
+
+    def __init__(
+        self,
+        seller: BackendSession,
+        buyer: BackendSession,
+        moderator: BackendSession,
+        evaluator: BackendSession,
+        templates: TemplateStore,
+        bounds: PriceBounds,
+        max_turns: int,
+    ):
+        self.sessions = {"seller": seller, "buyer": buyer}
+        self.moderator = moderator
+        self.evaluator = evaluator
+        self.templates = templates
+        self.bounds = bounds
+        self.max_turns = max_turns
+        self.prices = {
+            "SELLER_INIT_PRICE": format_money(bounds.seller_init),
+            "COST_PRICE": format_money(bounds.cost_price),
+            "BUYER_INIT_PRICE": format_money(bounds.buyer_init),
+        }
+        self.error: Optional[str] = None
+        self.unjudged = False
+
+    def _say(self, role: str, template_id: str, turns: list[Turn]) -> Optional[str]:
+        conv = render_conversation(turns)
+        msgs = render(self.templates.get(template_id), {**self.prices, "$CONVERSATION": conv})
+        try:
+            text = chat(self.sessions[role], msgs)
+        except ContentFilterError:
+            if role == "seller":  # withheld; a refused buyer turn ends the dialogue
+                return None
+            self.error = "content_filter"
+            raise _Halt
+        except BackendError as exc:
+            self.error = f"backend: {exc}"
+            raise _Halt
+        self.unjudged = True
+        return text
+
+    def buyer(self, turns: list[Turn]) -> Optional[str]:
+        return self._say("buyer", "buyer", turns)
+
+    def seller(self, turns: list[Turn], violate: bool) -> Optional[str]:
+        return self._say("seller", "seller_violate" if violate else "seller_normal", turns)
+
+    def violated(self, rewrite: Optional[str]) -> None:
+        pass
+
+    def done(self, turns: list[Turn]) -> bool:
+        if not self.unjudged:  # the openers, or a withheld seller line
+            return len(turns) >= self.max_turns
+        self.unjudged = False
+        return moderator_end(tuple(turns), self.moderator, templates=self.templates, max_turns=self.max_turns)
+
+    def dialogue(self, turns: list[Turn], **meta) -> Dialogue:
+        d = Dialogue(bounds=self.bounds, turns=tuple(turns), error=self.error, **meta)
+        if self.error is not None:
+            return d
+        return d.with_outcome(assess_outcome(d, self.evaluator, self.templates))
+
+
+def _rollout(
+    lane: _ScriptedLane | _RemoteLane,
     config: SimulationConfig,
     remediator: Optional[Remediator],
     *,
     stop_at_violation: bool = False,
     forced_remediation: Optional[str] = None,
-) -> tuple[list[Turn], BargainState, Optional[str]]:
-    """Run the scripted loop from the opening turns.
-
-    With ``stop_at_violation`` the loop returns at the first coin head with
-    the raw violating text as the third element (goodwill not yet charged).
-    ``forced_remediation`` replays the same rollout and applies the given
-    rewrite at the first head instead of consulting a remediator; later
-    violations are suppressed, which enforces the single-point rule for
-    value-estimation rollouts.
-    """
-    turns = _opening_turns(world.bounds)
-    state = BargainState.initial(world)
-    rng = random.Random(config.seed)
-    violation_seen = False
-
-    while True:
-        check_round_boundary(world, state)
-        if state.terminal:
-            break
-        if len(turns) + 1 > config.max_turns:
-            state.terminal = True
-            state.deal = False
-            break
-
-        buyer_text = scripted_step(world, state, "buyer")
-        turns.append(Turn(speaker=Speaker.BUYER, text=buyer_text))
-        if len(turns) >= config.max_turns:
-            state.terminal = True
-            state.deal = False
-            break
-
-        suppress = violation_seen and (
-            config.single_remediation_point or forced_remediation is not None
-        )
-        violate = (not suppress) and rng.random() < config.p_c
-
-        if violate:
-            first = not violation_seen
-            violation_seen = True
-            raw = violation_utterance(format_money(round(state.pending_ask)))
-            if first and stop_at_violation:
-                return turns, state, raw
-            if first and forced_remediation is not None:
-                rewrite: Optional[str] = forced_remediation
-            elif config.remediation_enabled and remediator is not None:
-                rewrite = remediator(tuple(turns), raw)
-            else:
-                rewrite = None
-            if rewrite is not None:
-                scripted_step(world, state, "seller", violation=True, remediation=rewrite)
-                turns.append(
-                    Turn(speaker=Speaker.SELLER, text=rewrite, violation=True, original_text=raw)
-                )
-            else:
-                scripted_step(world, state, "seller", violation=True)
-                turns.append(Turn(speaker=Speaker.SELLER, text=raw, violation=True))
-        else:
-            text = scripted_step(world, state, "seller")
-            turns.append(Turn(speaker=Speaker.SELLER, text=text))
-
-        if state.terminal:
-            break
-        if len(turns) >= config.max_turns:
-            state.terminal = True
-            state.deal = False
-            break
-
-    return turns, state, None
-
-
-def _scripted_dialogue(
-    world: ScriptedWorld,
-    config: SimulationConfig,
-    turns: list[Turn],
-    state: BargainState,
-    *,
-    dialogue_id: str,
-    topic: Topic,
-    language: str,
-) -> Dialogue:
-    outcome = scripted_outcome(world, state)
-    return Dialogue(
-        id=dialogue_id,
-        topic=topic,
-        bounds=world.bounds,
-        turns=tuple(turns),
-        outcome=outcome,
-        language=language,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Remote lane
-
-
-def _remote_turn(session: BackendSession, messages: list[dict]) -> tuple[str, Optional[str]]:
-    try:
-        return chat(session, messages), None
-    except ContentFilterError:
-        return "", "content_filter"
-    except BackendError as exc:
-        return "", f"backend: {exc}"
-
-
-def _run_remote(
-    seller: BackendSession,
-    buyer: BackendSession,
-    moderator: BackendSession,
-    config: SimulationConfig,
-    templates: TemplateStore,
-    remediator: Optional[Remediator],
-    bounds: PriceBounds,
 ) -> tuple[list[Turn], Optional[str]]:
-    turns = _opening_turns(bounds)
+    """Run the negotiation loop from the opening turns over a lane.
+
+    Each round the buyer speaks, then the seller, each followed by
+    ``lane.done``; every unsuppressed seller turn flips one Bernoulli(p_c)
+    coin, and heads ask ``lane.seller`` for a violating utterance, which the
+    remediator may rewrite before ``lane.violated`` lands it. Returns the
+    turns and None, except that with ``stop_at_violation`` the loop returns
+    at the first head with the raw violating text (lane state not yet
+    charged). ``forced_remediation`` applies the given rewrite at the first
+    head instead of consulting a remediator and suppresses later heads, which
+    enforces the single-point rule for value-estimation rollouts.
+    """
+    turns = _opening_turns(lane.bounds)
     rng = random.Random(config.seed)
-    violation_seen = False
-    price_bindings = {
-        "SELLER_INIT_PRICE": format_money(bounds.seller_init),
-        "COST_PRICE": format_money(bounds.cost_price),
-        "BUYER_INIT_PRICE": format_money(bounds.buyer_init),
-    }
-
-    while len(turns) < config.max_turns:
-        conv = render_conversation(turns)
-        msgs = render(templates.get("buyer"), {**price_bindings, "$CONVERSATION": conv})
-        text, err = _remote_turn(buyer, msgs)
-        if err:
-            return turns, err
-        turns.append(Turn(speaker=Speaker.BUYER, text=text))
-        if moderator_end(tuple(turns), moderator, templates=templates, max_turns=config.max_turns):
-            break
-
-        suppress = violation_seen and config.single_remediation_point
-        violate = (not suppress) and rng.random() < config.p_c
-        template_id = "seller_violate" if violate else "seller_normal"
-        conv = render_conversation(turns)
-        msgs = render(templates.get(template_id), {**price_bindings, "$CONVERSATION": conv})
-        text, err = _remote_turn(seller, msgs)
-        if err == "content_filter":
-            # Mark the turn and keep the rollout alive.
-            turns.append(
-                Turn(speaker=Speaker.SELLER, text="[withheld by provider content filter]")
-            )
-            continue
-        if err:
-            return turns, err
-        if violate:
-            violation_seen = True
-            if config.remediation_enabled and remediator is not None:
-                rewrite = remediator(tuple(turns), text)
-                turns.append(
-                    Turn(speaker=Speaker.SELLER, text=rewrite, violation=True, original_text=text)
-                )
+    flip = True
+    try:
+        while not lane.done(turns):
+            turns.append(Turn(speaker=_BUYER, text=lane.buyer(turns)))
+            if lane.done(turns):
+                break
+            violate = flip and rng.random() < config.p_c
+            text = lane.seller(turns, violate)
+            if text is None:
+                turns.append(Turn(speaker=_SELLER, text=WITHHELD))
+            elif not violate:
+                turns.append(Turn(speaker=_SELLER, text=text))
+            elif stop_at_violation:
+                return turns, text
             else:
-                turns.append(Turn(speaker=Speaker.SELLER, text=text, violation=True))
-        else:
-            turns.append(Turn(speaker=Speaker.SELLER, text=text))
-        if moderator_end(tuple(turns), moderator, templates=templates, max_turns=config.max_turns):
-            break
-
+                if forced_remediation is not None:
+                    rewrite: Optional[str] = forced_remediation
+                    flip = False  # later heads are suppressed
+                elif config.remediation_enabled and remediator is not None:
+                    rewrite = remediator(tuple(turns), text)
+                else:
+                    rewrite = None
+                lane.violated(rewrite)
+                if rewrite is None:
+                    turns.append(Turn(speaker=_SELLER, text=text, violation=True))
+                else:
+                    turns.append(
+                        Turn(speaker=_SELLER, text=rewrite, violation=True, original_text=text)
+                    )
+    except _Halt:
+        pass
     return turns, None
 
 
@@ -277,25 +266,20 @@ def _run_remote(
 
 def moderator_end(
     trajectory: tuple[Turn, ...],
-    backend: BackendSession | BargainState,
+    backend: BackendSession,
     *,
     templates: Optional[TemplateStore] = None,
     max_turns: int = 20,
 ) -> bool:
-    """Decide whether the negotiation has concluded.
+    """Decide whether a remote negotiation has concluded.
 
-    Scripted rollouts decide from the bargaining state; remote rollouts ask a
-    yes/no judgment prompt. A failing remote moderator counts as "continue",
-    bounded by the turn cap.
+    Asks a yes/no judgment prompt unless the turn cap is reached. A failing
+    moderator counts as "continue", bounded by the turn cap.
     """
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
     if len(trajectory) >= max_turns:
         return True
-    if isinstance(backend, BargainState):
-        return backend.terminal or backend.bid >= backend.ask
-    if backend.kind == "scripted":
-        return False
     if templates is None:
         raise ValueError("remote moderator requires templates")
     conv = render_conversation(trajectory)
@@ -328,30 +312,17 @@ def simulate(
     The scripted lane needs ``world``; the remote lane needs ``bounds``,
     ``templates``, and an ``evaluator`` session.
     """
+    lane: _ScriptedLane | _RemoteLane
     if seller.kind == "scripted":
         if world is None:
             raise ValueError("scripted simulation requires a world")
-        turns, state, _ = _run_scripted(world, config, remediator)
-        return _scripted_dialogue(
-            world, config, turns, state, dialogue_id=dialogue_id, topic=topic, language=language
-        )
-
-    if bounds is None or templates is None or evaluator is None:
-        raise ValueError("remote simulation requires bounds, templates, and an evaluator")
-    turns, err = _run_remote(seller, buyer, moderator, config, templates, remediator, bounds)
-    d = Dialogue(
-        id=dialogue_id,
-        topic=topic,
-        bounds=bounds,
-        turns=tuple(turns),
-        language=language,
-        error=err,
-    )
-    if err is not None:
-        return d
-    from .outcome import assess_outcome
-
-    return d.with_outcome(assess_outcome(d, evaluator, templates))
+        lane = _ScriptedLane(world, config.max_turns)
+    else:
+        if bounds is None or templates is None or evaluator is None:
+            raise ValueError("remote simulation requires bounds, templates, and an evaluator")
+        lane = _RemoteLane(seller, buyer, moderator, evaluator, templates, bounds, config.max_turns)
+    turns, _ = _rollout(lane, config, remediator)
+    return lane.dialogue(turns, id=dialogue_id, topic=topic, language=language)
 
 
 def rollout_to_first_violation(
@@ -365,7 +336,7 @@ def rollout_to_first_violation(
     """
     if config.p_c <= 0.0:
         return None
-    turns, _state, raw = _run_scripted(world, config, None, stop_at_violation=True)
+    turns, raw = _rollout(_ScriptedLane(world, config.max_turns), config, None, stop_at_violation=True)
     if raw is None:
         return None
     return ViolationPoint(prefix=tuple(turns), violation_text=raw, seed=config.seed)
@@ -390,14 +361,7 @@ def continue_rollout(
     """
     if not remediation:
         raise ValueError("remediation text must be non-empty")
-    replay = SimulationConfig(
-        p_c=config.p_c,
-        remediation_enabled=True,
-        single_remediation_point=True,
-        max_turns=config.max_turns,
-        seed=point.seed,
-    )
-    turns, state, _ = _run_scripted(world, replay, None, forced_remediation=remediation)
-    return _scripted_dialogue(
-        world, replay, turns, state, dialogue_id=dialogue_id, topic=topic, language=language
-    )
+    replay = SimulationConfig(p_c=config.p_c, max_turns=config.max_turns, seed=point.seed)
+    lane = _ScriptedLane(world, replay.max_turns)
+    turns, _ = _rollout(lane, replay, None, forced_remediation=remediation)
+    return lane.dialogue(turns, id=dialogue_id, topic=topic, language=language)

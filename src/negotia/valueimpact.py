@@ -108,7 +108,6 @@ def build_probe_set(
             cfg = SimulationConfig(
                 p_c=config.p_c,
                 remediation_enabled=False,
-                single_remediation_point=True,
                 max_turns=config.max_turns,
                 seed=seed,
             )

@@ -179,6 +179,13 @@ def test_exit_codes(tmp_path):
                 "--out", str(tmp_path / "x.jsonl")]) == 1
 
 
+def test_removed_flags_are_usage_errors(tmp_path):
+    corpus = simulate_corpus(tmp_path)
+    assert run(["evaluate", "--in", str(corpus), "--weights", "1,0,0,0",
+                "--report", str(tmp_path / "r.json")]) == 1
+    assert run(["simulate", "--topic", "salary", "--out", str(tmp_path / "x.jsonl")]) == 1
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "seed": 99}), encoding="utf-8")

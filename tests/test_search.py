@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from negotia.search import delta, search_optimal_set, split_candidates
+from negotia.search import search_optimal_set, split_candidates
 
 
 def table_impact(table):
@@ -25,11 +25,6 @@ def test_split_candidates():
     assert s_cand == ["c", "d"]
     with pytest.raises(ValueError):
         split_candidates(ranked, 4)
-
-
-def test_delta():
-    assert delta(0.5, 0.2) == pytest.approx(0.3)
-    assert delta(0.2, 0.5) < 0
 
 
 def test_argument_validation():

@@ -4,9 +4,11 @@ the remote lane against a stubbed transport."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from negotia.backends import BackendSession, BargainState, ScriptedWorld
-from negotia.core import PriceBounds, Speaker
+from negotia.backends import BackendSession
+from negotia.core import Speaker, Turn, validate_dialogue
 from negotia.simulation import (
     BUYER_OPENER,
     SimulationConfig,
@@ -23,6 +25,9 @@ def test_config_validation():
         SimulationConfig(p_c=1.5)
     with pytest.raises(ValueError):
         SimulationConfig(max_turns=0)
+    # Both lanes always emit the two opening turns.
+    with pytest.raises(ValueError):
+        SimulationConfig(max_turns=1)
 
 
 def test_openers(bounds, world, scripted_session):
@@ -113,16 +118,29 @@ def test_remediator_is_consulted(world, scripted_session):
     assert any(t.violation and t.original_text is not None for t in d.turns)
 
 
-def test_moderator_end_scripted_paths(world, scripted_session):
-    state = BargainState.initial(world)
-    turns = (object(),)  # only the length and the state matter here
-    assert moderator_end(turns, state) is False
-    state.terminal = True
-    assert moderator_end(turns, state) is True
-    assert moderator_end(turns, scripted_session) is False
-    assert moderator_end(tuple(range(20)), scripted_session, max_turns=20) is True
-    with pytest.raises(ValueError):
-        moderator_end((), state)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    p_c=st.floats(min_value=0.05, max_value=1.0),
+    max_turns=st.integers(min_value=2, max_value=30),
+)
+def test_scripted_rollouts_share_one_loop(world, scripted_session, seed, p_c, max_turns):
+    config = SimulationConfig(p_c=p_c, seed=seed, max_turns=max_turns)
+    d = simulate(scripted_session, scripted_session, scripted_session, config, world=world)
+    assert validate_dialogue(d) == []
+    assert len(d.turns) <= max_turns
+    point = rollout_to_first_violation(world, config)
+    if point is None:
+        assert not any(t.violation for t in d.turns)
+        return
+    n = len(point.prefix)
+    assert d.turns[:n] == point.prefix
+    assert d.turns[n].violation and d.turns[n].text == point.violation_text
+    c = continue_rollout(world, config, point, "Let us find a fair price together. [q=0.7]")
+    assert validate_dialogue(c) == []
+    assert len(c.turns) <= max_turns
+    assert c.turns[:n] == point.prefix
+    assert sum(t.violation for t in c.turns) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +195,53 @@ def test_remote_lane_end_to_end(bounds, templates):
     assert d.outcome.deal and d.outcome.price == 45
     assert d.outcome.trust_delta == 1 and d.outcome.business_delta == 1
     assert len(d.turns) == 6
+
+
+def test_moderator_end_remote(templates):
+    calls = []
+
+    def transport(body):
+        calls.append(body)
+        return {"choices": [{"finish_reason": "stop", "message": {"content": "Yes, concluded."}}]}
+
+    turns = (Turn(speaker=Speaker.BUYER, text=BUYER_OPENER),)
+    session = remote(transport)
+    assert moderator_end(turns * 20, session, templates=templates, max_turns=20) is True
+    assert calls == []
+    assert moderator_end(turns, session, templates=templates) is True
+    assert len(calls) == 1
+
+    def dead(body):
+        raise RuntimeError("boom")
+
+    failing = BackendSession(
+        kind="remote", endpoint="http://example.invalid/v1", model_name="m",
+        retries=0, backoff_base=0.0, transport=dead,
+    )
+    assert moderator_end(turns, failing, templates=templates) is False
+    with pytest.raises(ValueError):
+        moderator_end((), session, templates=templates)
+
+
+def test_remote_lane_remediates_violations(bounds, templates):
+    raw = "Take it or leave it, $49 is final!"
+    seen = []
+
+    def remediator(history, text):
+        seen.append(text)
+        return "We hear you; let us find a fair price together."
+
+    # The seller_violate template is the only seller prompt with this phrase.
+    session = remote(scripted_transport([("violates social etiquette", raw), *REMOTE_SCRIPT]))
+    d = simulate(
+        session, session, session,
+        SimulationConfig(p_c=1.0, seed=1, max_turns=6, remediation_enabled=True),
+        templates, remediator=remediator, evaluator=session, bounds=bounds,
+    )
+    assert d.error is None and d.outcome is not None
+    violating = [t for t in d.turns if t.violation]
+    assert len(violating) == 2 and seen == [raw, raw]
+    assert all(t.original_text == raw and t.text != raw for t in violating)
 
 
 def test_remote_lane_content_filter_marks_turn(bounds, templates):
