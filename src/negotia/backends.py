@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,14 +56,13 @@ class ContentFilterError(BackendError):
 
 @dataclass(frozen=True)
 class BackendSession:
-    """Handle to an agent backend plus generation parameters and seed."""
+    """Handle to an agent backend plus its generation parameters."""
 
     kind: str  # "remote" | "scripted"
     endpoint: Optional[str] = None
     model_name: Optional[str] = None
     temperature: float = 1.0
     max_tokens: int = 256
-    seed: int = 0
     cache_dir: Optional[Path] = None
     retries: int = 3
     backoff_base: float = 1.0
@@ -89,20 +89,6 @@ def derive_seed(base: int, *parts: object) -> int:
 # Remote chat client
 
 
-def _request_digest(model_name: str, temperature: float, max_tokens: int, messages: list[dict]) -> str:
-    payload = json.dumps(
-        {
-            "model": model_name,
-            "temperature": temperature,
-            "max_tokens": max_tokens,
-            "messages": messages,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _http_transport(session: BackendSession) -> Callable[[dict], dict]:
     import requests
 
@@ -127,20 +113,14 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
     """Run one chat completion, serving repeats from the on-disk cache.
 
     Cache entries are content-addressed by a digest of the canonical
-    serialization of (model, generation params, messages); concurrent writers
-    racing on the same key is benign since the contents are identical.
+    serialization of the request body (model, generation params, messages).
+    Each writer renames its own temp file into place, so concurrent writers
+    of one key never collide; the last rename wins with identical contents.
     """
     if session.kind != "remote":
         raise BackendError("chat requires a remote session")
     if not messages:
         raise BackendError("messages must be non-empty")
-
-    digest = _request_digest(session.model_name, session.temperature, session.max_tokens, messages)
-    cache_path = None
-    if session.cache_dir is not None:
-        cache_path = Path(session.cache_dir) / f"{digest}.json"
-        if cache_path.exists():
-            return json.loads(cache_path.read_text(encoding="utf-8"))["content"]
 
     body = {
         "model": session.model_name,
@@ -148,6 +128,15 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         "max_tokens": session.max_tokens,
         "messages": messages,
     }
+    digest = hashlib.sha256(
+        json.dumps(body, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    ).hexdigest()
+    cache_path = None
+    if session.cache_dir is not None:
+        cache_path = Path(session.cache_dir) / f"{digest}.json"
+        if cache_path.exists():
+            return json.loads(cache_path.read_text(encoding="utf-8"))["content"]
+
     transport = session.transport or _http_transport(session)
 
     last_exc: Optional[Exception] = None
@@ -171,7 +160,7 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp" + str(os.getpid()))
+        tmp = cache_path.with_name(f"{digest}.tmp{os.getpid()}-{threading.get_ident()}")
         tmp.write_text(json.dumps({"content": content}, ensure_ascii=False), encoding="utf-8")
         tmp.replace(cache_path)
     return content

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +24,6 @@ from .core import (
     Exemplar,
     PriceBounds,
     Speaker,
-    Topic,
     Turn,
     dump_dialogues,
     dump_exemplars,
@@ -38,7 +37,7 @@ from .prompts import TemplateStore
 from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
-from .simulation import BUYER_OPENER, SimulationConfig, simulate
+from .simulation import SimulationConfig, play, simulate
 from .valueimpact import (
     build_probe_set,
     estimate_value_impact,
@@ -55,32 +54,39 @@ class UsageError(Exception):
     pass
 
 
-def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+@dataclass(frozen=True)
+class Written:
+    """What a subcommand wrote; the manifest sits beside the first output."""
+
+    outputs: list[Path]
+    config: dict
+    counts: dict
+    inputs: tuple[Path, ...] = ()
+    base_seed: int = 0
 
 
-def _write_manifest(
-    command: str,
-    out_path: Path,
-    config_snapshot: dict,
-    base_seed: int,
-    started: float,
-    inputs: list[Path],
-    outputs: list[Path],
-    counts: dict,
-) -> None:
+def _write_manifest(command: str, started: float, written: Written) -> None:
+    def digests(paths) -> dict:
+        return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.exists()}
+
     manifest = {
         "command": command,
-        "config": config_snapshot,
-        "base_seed": base_seed,
+        "config": written.config,
+        "base_seed": written.base_seed,
         "started_at": started,
         "finished_at": time.time(),
-        "inputs": {str(p): _digest_file(Path(p)) for p in inputs if Path(p).exists()},
-        "outputs": {str(p): _digest_file(Path(p)) for p in outputs if Path(p).exists()},
-        "counts": counts,
+        "inputs": digests(written.inputs),
+        "outputs": digests(written.outputs),
+        "counts": written.counts,
     }
-    manifest_path = Path(str(out_path) + ".manifest.json")
+    manifest_path = Path(str(written.outputs[0]) + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def _write_json(path: str, obj) -> Path:
+    out = Path(path)
+    out.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    return out
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -119,8 +125,12 @@ def _scripted_world(cfg: dict) -> ScriptedWorld:
     )
 
 
-def _backend_session(args: argparse.Namespace, cfg: dict, kind: str) -> BackendSession:
-    if kind == "scripted":
+def _templates(args: argparse.Namespace) -> TemplateStore:
+    return TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
+
+
+def _backend_session(args: argparse.Namespace, cfg: dict) -> BackendSession:
+    if _setting(args, cfg, "backend", "scripted") == "scripted":
         return BackendSession(kind="scripted")
     api_base = _setting(args, cfg, "api_base", None)
     model = _setting(args, cfg, "model", None)
@@ -135,8 +145,10 @@ def _backend_session(args: argparse.Namespace, cfg: dict, kind: str) -> BackendS
     )
 
 
-def _resolve_set(pool: list[Exemplar], member_ids: list[str]) -> tuple[Exemplar, ...]:
-    by_id = {e.id: e for e in pool}
+def _load_set(pool_path: str, set_path: str) -> tuple[Exemplar, ...]:
+    """The exemplars a set file names, in its order, looked up in a pool file."""
+    by_id = {e.id: e for e in load_exemplars(pool_path)}
+    member_ids = json.loads(Path(set_path).read_text(encoding="utf-8"))["members"]
     missing = [m for m in member_ids if m not in by_id]
     if missing:
         raise UsageError(f"set members not in pool: {', '.join(missing)}")
@@ -144,30 +156,24 @@ def _resolve_set(pool: list[Exemplar], member_ids: list[str]) -> tuple[Exemplar,
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns what it wrote, or None when it writes no file.
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
-    started = time.time()
+def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
     seed = int(_setting(args, cfg, "seed", 0))
     n = int(_setting(args, cfg, "n", 10))
     p_c = float(_setting(args, cfg, "p_c", 0.4))
     remediation = _setting(args, cfg, "remediate", "off") == "on"
-    backend_kind = _setting(args, cfg, "backend", "scripted")
     workers = int(_setting(args, cfg, "workers", 1))
     out = Path(args.out)
 
     world = _scripted_world(cfg)
-    templates = TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
-    session = _backend_session(args, cfg, backend_kind)
+    templates = _templates(args)
+    session = _backend_session(args, cfg)
 
     remediator = None
     if remediation:
-        exemplars: tuple[Exemplar, ...] = ()
-        if args.pool and args.set:
-            pool = load_exemplars(args.pool)
-            member_ids = json.loads(Path(args.set).read_text(encoding="utf-8"))["members"]
-            exemplars = _resolve_set(pool, member_ids)
+        exemplars = _load_set(args.pool, args.set) if args.pool and args.set else ()
         policy = RemediationPolicy(exemplars=exemplars, backend=session)
         remediator = lambda hist, text: remediate(policy, hist, text, templates)  # noqa: E731
 
@@ -191,11 +197,8 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
             dialogue_id=f"sim-{i}",
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            dialogues = list(pool_exec.map(one, range(n)))
-    else:
-        dialogues = [one(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as pool_exec:
+        dialogues = list(pool_exec.map(one, range(n)))
 
     dump_dialogues(dialogues, out)
     snapshot = {
@@ -203,71 +206,46 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
         "n": n,
         "p_c": p_c,
         "remediate": remediation,
-        "backend": backend_kind,
+        "backend": session.kind,
         "workers": workers,
         "world": asdict(world),
     }
-    _write_manifest(
-        "simulate", out, snapshot, seed, started, [], [out], {"rollouts": n}
-    )
-    return 0
+    return Written([out], snapshot, {"rollouts": n}, base_seed=seed)
 
 
-def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> int:
-    started = time.time()
+def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> Written:
     corpus = load_dialogues(args.infile)
-    backend_kind = _setting(args, cfg, "backend", "scripted")
-    session = _backend_session(args, cfg, backend_kind)
-    templates = TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
-    pool = silver_annotate(corpus, session, templates)
+    session = _backend_session(args, cfg)
+    pool = silver_annotate(corpus, session, _templates(args))
     out = Path(args.out)
     dump_exemplars(pool, out)
-    _write_manifest(
-        "annotate",
-        out,
-        {"backend": backend_kind, "in": args.infile},
-        0,
-        started,
-        [Path(args.infile)],
-        [out],
-        {"exemplars": len(pool)},
-    )
-    return 0
+    snapshot = {"backend": session.kind, "in": args.infile}
+    return Written([out], snapshot, {"exemplars": len(pool)}, (Path(args.infile),))
 
 
 def _probe_and_rollout(args: argparse.Namespace, cfg: dict, seed: int):
     world = _scripted_world(cfg)
     session = BackendSession(kind="scripted")
-    weights = RewardWeights()
     sim_cfg = SimulationConfig(p_c=float(_setting(args, cfg, "p_c", 0.6)), seed=seed)
     silver = RemediationPolicy(exemplars=(), backend=session)
     probe = build_probe_set(world, sim_cfg, int(args.probe_size), silver)
-    rollout_fn = make_scripted_rollout_fn(world, sim_cfg, weights)
-    return world, session, probe, rollout_fn
+    rollout_fn = make_scripted_rollout_fn(world, sim_cfg, RewardWeights())
+    return session, probe, rollout_fn
 
 
-def _cmd_filter(args: argparse.Namespace, cfg: dict) -> int:
-    started = time.time()
+def _cmd_filter(args: argparse.Namespace, cfg: dict) -> Written:
     seed = int(_setting(args, cfg, "seed", 0))
     pool = load_exemplars(args.pool)
-    _world, session, probe, rollout_fn = _probe_and_rollout(args, cfg, seed)
+    session, probe, rollout_fn = _probe_and_rollout(args, cfg, seed)
     ranked = rank_individuals(
         pool, int(args.sample), probe, session, rollout_fn, sample_seed=seed
     )
-    out = Path(args.out)
-    out.write_text(
-        json.dumps([{"id": eid, "value_impact": v} for eid, v in ranked], indent=2),
-        encoding="utf-8",
-    )
+    out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
     snapshot = {"seed": seed, "sample": int(args.sample), "probe_size": int(args.probe_size)}
-    _write_manifest(
-        "filter", out, snapshot, seed, started, [Path(args.pool)], [out], {"ranked": len(ranked)}
-    )
-    return 0
+    return Written([out], snapshot, {"ranked": len(ranked)}, (Path(args.pool),), seed)
 
 
-def _cmd_search(args: argparse.Namespace, cfg: dict) -> int:
-    started = time.time()
+def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
     seed = int(_setting(args, cfg, "seed", 0))
     k = int(_setting(args, cfg, "k", 8))
     m = int(_setting(args, cfg, "m", 2))
@@ -276,7 +254,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> int:
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
     s_init, s_cand = split_candidates(ranked, k)
 
-    _world, session, probe, rollout_fn = _probe_and_rollout(args, cfg, seed)
+    session, probe, rollout_fn = _probe_and_rollout(args, cfg, seed)
     by_id = {e.id: e for e in pool}
 
     def impact_fn(members: tuple[str, ...]) -> float:
@@ -286,205 +264,110 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> int:
         return estimate_value_impact(policy, probe, rollout_fn).mean
 
     best, trace = search_optimal_set(s_init, s_cand, impact_fn, m)
-    out = Path(args.out)
-    out.write_text(
-        json.dumps({"members": list(best.members), "value_impact": best.value_impact}, indent=2),
-        encoding="utf-8",
-    )
-    outputs = [out]
+    outputs = [_write_json(args.out, {"members": list(best.members), "value_impact": best.value_impact})]
     if args.trace:
-        trace_path = Path(args.trace)
-        trace_path.write_text(
-            json.dumps(
-                {
-                    "evaluations": [
-                        {
-                            "members": list(ev.members),
-                            "impact": ev.impact,
-                            "parent": list(ev.parent) if ev.parent else None,
-                            "delta": ev.delta,
-                        }
-                        for ev in trace.evaluations
-                    ],
-                    "pruning_events": [
-                        {
-                            "members": list(pe.members),
-                            "position": pe.position,
-                            "consecutive_failures": pe.consecutive_failures,
-                        }
-                        for pe in trace.pruning_events
-                    ],
-                    "best": {"members": list(trace.best_members), "impact": trace.best_impact},
-                },
-                indent=2,
-            ),
-            encoding="utf-8",
-        )
-        outputs.append(trace_path)
+        trace_obj = {
+            "evaluations": [asdict(ev) for ev in trace.evaluations],
+            "pruning_events": [asdict(pe) for pe in trace.pruning_events],
+            "best": {"members": list(best.members), "impact": best.value_impact},
+        }
+        outputs.append(_write_json(args.trace, trace_obj))
     snapshot = {"seed": seed, "k": k, "m": m, "probe_size": int(args.probe_size)}
-    _write_manifest(
-        "search",
-        out,
-        snapshot,
-        seed,
-        started,
-        [Path(args.pool), Path(args.ranked)],
-        outputs,
-        {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)},
-    )
-    return 0
+    counts = {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)}
+    return Written(outputs, snapshot, counts, (Path(args.pool), Path(args.ranked)), seed)
 
 
-def _cmd_select(args: argparse.Namespace, cfg: dict) -> int:
-    started = time.time()
+def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
     seed = int(_setting(args, cfg, "seed", 0))
     k = int(_setting(args, cfg, "k", 8))
     pool = load_exemplars(args.pool)
     if args.strategy == "random":
         chosen = select_random(pool, k, seed)
-    elif args.strategy == "retrieval":
+    else:  # retrieval; argparse admits no other strategy
         if not args.query:
             raise UsageError("retrieval strategy requires --query")
         query_obj = json.loads(Path(args.query).read_text(encoding="utf-8"))
         query_text = query_obj["text"] if "text" in query_obj else query_obj["query"]
         chosen = select_retrieval(pool, query_text, k, HashedNgramEmbedder())
-    else:
-        raise UsageError(f"unknown strategy: {args.strategy}")
-    out = Path(args.out)
-    out.write_text(json.dumps({"members": list(chosen.members)}, indent=2), encoding="utf-8")
-    _write_manifest(
-        "select",
-        out,
-        {"strategy": args.strategy, "k": k, "seed": seed},
-        seed,
-        started,
-        [Path(args.pool)],
-        [out],
-        {"selected": k},
-    )
-    return 0
+    out = _write_json(args.out, {"members": list(chosen.members)})
+    snapshot = {"strategy": args.strategy, "k": k, "seed": seed}
+    return Written([out], snapshot, {"selected": k}, (Path(args.pool),), seed)
 
 
-def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> int:
-    pool = load_exemplars(args.pool)
-    member_ids = json.loads(Path(args.set).read_text(encoding="utf-8"))["members"]
-    exemplars = _resolve_set(pool, member_ids)
+def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> None:
+    exemplars = _load_set(args.pool, args.set)
     query = json.loads(Path(args.infile).read_text(encoding="utf-8"))
     history = tuple(_turn_from_obj(t) for t in query.get("history", []))
-    backend_kind = _setting(args, cfg, "backend", "scripted")
-    session = _backend_session(args, cfg, backend_kind)
-    templates = TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
-    policy = RemediationPolicy(exemplars=exemplars, backend=session)
-    print(remediate(policy, history, query["violation_text"], templates))
-    return 0
+    policy = RemediationPolicy(exemplars=exemplars, backend=_backend_session(args, cfg))
+    print(remediate(policy, history, query["violation_text"], _templates(args)))
 
 
-def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
-    started = time.time()
-    corpus = load_dialogues(args.infile)
-    report = evaluate_corpus(corpus)
-    out = Path(args.report)
-    out.write_text(
-        json.dumps(
-            {
-                "success_rate": report.success_rate,
-                "mean_deal_value": report.mean_deal_value,
-                "trust_improvement_rate": report.trust_improvement_rate,
-                "relation_enhancement_rate": report.relation_enhancement_rate,
-                "n": report.n,
-            },
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
-    _write_manifest(
-        "evaluate",
-        out,
-        {"in": args.infile},
-        0,
-        started,
-        [Path(args.infile)],
-        [out],
-        {"dialogues": report.n},
-    )
-    return 0
+def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> Written:
+    report = evaluate_corpus(load_dialogues(args.infile))
+    out = _write_json(args.report, asdict(report))
+    return Written([out], {"in": args.infile}, {"dialogues": report.n}, (Path(args.infile),))
 
 
-def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> int:
-    from .backends import BargainState, scripted_step
+def _ask(prompt: str) -> str:
+    """One stripped line of input; end of input reads as '/quit'."""
+    try:
+        return input(prompt).strip()
+    except EOFError:
+        return "/quit"
 
+
+def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
     role = Speaker(args.role)
     world = _scripted_world(cfg)
-    session = BackendSession(kind="scripted")
-    templates = TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
-    policy = RemediationPolicy(exemplars=(), backend=session)
-
-    state = BargainState.initial(world)
-    turns: list[Turn] = []
+    templates = _templates(args)
+    policy = RemediationPolicy(exemplars=(), backend=BackendSession(kind="scripted"))
     choices: list[dict] = []
-    counterpart = Speaker.SELLER if role is Speaker.BUYER else Speaker.BUYER
+    shown = 0  # turns already on screen
 
-    print(f"You are the {role.value}. Type your utterance; prefix with '/flag ' to mark")
-    print("a potential norm violation; '/quit' ends the session.")
-
-    def counterpart_turn() -> Optional[str]:
-        if state.terminal:
-            return None
-        return scripted_step(world, state, counterpart.value)
-
-    max_turns = int(cfg.get("max_turns", 20))
+    print(f"You are the {role.value}. Type your utterance; '/quit' ends the session.")
     if role is Speaker.SELLER:
-        # Buyer opens; keep the scripted opener.
-        turns.append(Turn(speaker=Speaker.BUYER, text=BUYER_OPENER))
-        print(f"{Speaker.BUYER.value}: {turns[-1].text}")
-    while len(turns) < max_turns and not state.terminal:
-        if turns and turns[-1].speaker is not role or not turns:
-            try:
-                line = input(f"{role.value}> ").strip()
-            except EOFError:
-                break
-            if line == "/quit":
-                break
-            if not line:
-                continue
-            if line.startswith("/flag "):
-                raw = line[len("/flag ") :]
-                rewrite = remediate(policy, tuple(turns), raw, templates)
-                print(f"proposed remediation: {rewrite}")
-                try:
-                    pick = input("accept remediation? [y/n] ").strip().lower()
-                except EOFError:
-                    pick = "n"
-                accepted = pick.startswith("y")
-                choices.append({"original": raw, "remediation": rewrite, "accepted": accepted})
-                if accepted:
-                    turns.append(Turn(speaker=role, text=rewrite, violation=True, original_text=raw))
-                else:
-                    turns.append(Turn(speaker=role, text=raw, violation=True))
-            else:
-                turns.append(Turn(speaker=role, text=line))
-        reply = counterpart_turn()
-        if reply is None:
-            break
-        turns.append(Turn(speaker=counterpart, text=reply))
-        print(f"{counterpart.value}: {reply}")
+        print("Prefix a line with '/flag ' to mark a potential norm violation.")
 
+    def show(turns: tuple[Turn, ...]) -> None:
+        for t in turns[shown:]:
+            print(f"{t.speaker.value}: {t.text}")
+
+    def speak(turns: tuple[Turn, ...]) -> Optional[Turn]:
+        nonlocal shown
+        show(turns)
+        shown = len(turns) + 1  # the player's own line is not echoed
+        while True:
+            line = _ask(f"{role.value}> ")
+            if line == "/quit":
+                return None
+            if line.startswith("/flag ") and role is Speaker.SELLER:
+                break
+            if line.startswith("/flag "):
+                print("only seller lines can be flagged; type your line again")
+            elif line:
+                return Turn(speaker=role, text=line)
+        raw = line[len("/flag ") :]
+        rewrite = remediate(policy, turns, raw, templates)
+        print(f"proposed remediation: {rewrite}")
+        accepted = _ask("accept remediation? [y/n] ").lower().startswith("y")
+        choices.append({"original": raw, "remediation": rewrite, "accepted": accepted})
+        if accepted:
+            return Turn(speaker=role, text=rewrite, violation=True, original_text=raw)
+        return Turn(speaker=role, text=raw, violation=True)
+
+    d = play(world, role, speak, int(cfg.get("max_turns", 20)))
+    show(d.turns)
     flags = len(choices)
     accepted = sum(1 for c in choices if c["accepted"])
     if flags:
         print(f"acceptance rate: {accepted}/{flags} = {accepted / flags:.2f}")
 
     out = Path(args.out)
-    d = Dialogue(
-        id="interactive-0",
-        topic=Topic.PRODUCT_SALE,
-        bounds=world.bounds,
-        turns=tuple(turns),
-    )
     record = _dialogue_to_obj(d)
     record["interactive_choices"] = choices
     out.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
-    return 0
+    snapshot = {"role": role.value, "world": asdict(world)}
+    return Written([out], snapshot, {"turns": len(d.turns), "flags": flags, "accepted": accepted})
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +399,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--backend", default=None, choices=["scripted", "remote"])
 
-    p = sub.add_parser("filter")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--sample", type=int, required=True)
-    p.add_argument("--probe-size", dest="probe_size", type=int, default=8)
-    p.add_argument("--p-c", dest="p_c", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    # filter and search score exemplars over the same kind of probe set.
+    probed = argparse.ArgumentParser(add_help=False)
+    probed.add_argument("--pool", required=True)
+    probed.add_argument("--probe-size", dest="probe_size", type=int, default=8)
+    probed.add_argument("--p-c", dest="p_c", type=float, default=None)
+    probed.add_argument("--seed", type=int, default=None)
+    probed.add_argument("--out", required=True)
 
-    p = sub.add_parser("search")
+    p = sub.add_parser("filter", parents=[probed])
+    p.add_argument("--sample", type=int, required=True)
+
+    p = sub.add_parser("search", parents=[probed])
     p.add_argument("--ranked", required=True)
-    p.add_argument("--pool", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--probe-size", dest="probe_size", type=int, default=8)
-    p.add_argument("--p-c", dest="p_c", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
 
     p = sub.add_parser("select")
@@ -583,13 +464,14 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         cfg = _load_config_file(args.config)
-        return _COMMANDS[args.command](args, cfg)
-    except UsageError as exc:
+        started = time.time()
+        written = _COMMANDS[args.command](args, cfg)
+        if written is not None:
+            _write_manifest(args.command, started, written)
+        return 0
+    except (UsageError, CorpusError, OSError, RuntimeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CorpusError, OSError, RuntimeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 def main() -> None:

@@ -24,7 +24,6 @@ __all__ = [
     "ExemplarSet",
     "CorpusError",
     "validate_dialogue",
-    "extract_exemplars",
     "load_dialogues",
     "dump_dialogues",
     "load_exemplars",
@@ -177,33 +176,6 @@ def validate_dialogue(d: Dialogue) -> list[str]:
         if not _speakers_alternate(d.turns):
             problems.append("speakers must strictly alternate")
     return problems
-
-
-def extract_exemplars(d: Dialogue) -> tuple[list[Exemplar], int]:
-    """Build one exemplar per remediated violation turn.
-
-    Histories carry the final (post-remediation) texts of earlier turns: the
-    counterpart only ever saw the remediated utterance. Violation turns with
-    no recorded remediation are skipped; the count of skipped turns is
-    returned as a diagnostic.
-    """
-    exemplars: list[Exemplar] = []
-    skipped = 0
-    for i, t in enumerate(d.turns):
-        if not t.violation:
-            continue
-        if t.original_text is None:
-            skipped += 1
-            continue
-        exemplars.append(
-            Exemplar(
-                id=f"{d.id}#{i}",
-                history=d.turns[:i],
-                violation_text=t.original_text,
-                remediation_text=t.text,
-            )
-        )
-    return exemplars, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ __all__ = [
     "moderator_end",
     "rollout_to_first_violation",
     "continue_rollout",
+    "Speak",
+    "play",
     "BUYER_OPENER",
     "seller_opener",
 ]
@@ -50,11 +52,17 @@ BUYER_OPENER = "Hello, does your esteemed company have a special industrial prod
 # Enum member lookups cost a few hundred ns each; the rollout loop uses these.
 _BUYER, _SELLER = Speaker.BUYER, Speaker.SELLER
 
+# Every simulated negotiation is a product sale.
+_TOPIC = Topic.PRODUCT_SALE
+
 # Seller line recorded when the provider's content filter refuses the turn.
 WITHHELD = "[withheld by provider content filter]"
 
 # A remediator is any callable from (history, violating text) to a rewrite.
 Remediator = Callable[[tuple[Turn, ...], str], str]
+
+# A player: from the turns so far to the player's next turn, or None to leave.
+Speak = Callable[[tuple[Turn, ...]], Optional[Turn]]
 
 
 def seller_opener(bounds: PriceBounds) -> str:
@@ -128,11 +136,11 @@ class _ScriptedLane:
             check_round_boundary(self.world, self.state)
         return self.state.terminal or len(turns) >= self.max_turns
 
-    def dialogue(self, turns: list[Turn], **meta) -> Dialogue:
-        # A bargain still open at the turn cap ends without a deal.
+    def dialogue(self, turns: list[Turn], dialogue_id: str) -> Dialogue:
+        # A bargain still open at the turn cap, or left by a player, ends without a deal.
         self.state.terminal = True
         outcome = scripted_outcome(self.world, self.state)
-        return Dialogue(bounds=self.bounds, turns=tuple(turns), outcome=outcome, **meta)
+        return Dialogue(id=dialogue_id, topic=_TOPIC, bounds=self.bounds, turns=tuple(turns), outcome=outcome)
 
 
 class _RemoteLane:
@@ -197,8 +205,8 @@ class _RemoteLane:
         self.unjudged = False
         return moderator_end(tuple(turns), self.moderator, templates=self.templates, max_turns=self.max_turns)
 
-    def dialogue(self, turns: list[Turn], **meta) -> Dialogue:
-        d = Dialogue(bounds=self.bounds, turns=tuple(turns), error=self.error, **meta)
+    def dialogue(self, turns: list[Turn], dialogue_id: str) -> Dialogue:
+        d = Dialogue(id=dialogue_id, topic=_TOPIC, bounds=self.bounds, turns=tuple(turns), error=self.error)
         if self.error is not None:
             return d
         return d.with_outcome(assess_outcome(d, self.evaluator, self.templates))
@@ -304,8 +312,6 @@ def simulate(
     world: Optional[ScriptedWorld] = None,
     bounds: Optional[PriceBounds] = None,
     dialogue_id: str = "sim-0",
-    topic: Topic = Topic.PRODUCT_SALE,
-    language: str = "en",
 ) -> Dialogue:
     """Run one full negotiation rollout and attach its assessed outcome.
 
@@ -322,7 +328,7 @@ def simulate(
             raise ValueError("remote simulation requires bounds, templates, and an evaluator")
         lane = _RemoteLane(seller, buyer, moderator, evaluator, templates, bounds, config.max_turns)
     turns, _ = _rollout(lane, config, remediator)
-    return lane.dialogue(turns, id=dialogue_id, topic=topic, language=language)
+    return lane.dialogue(turns, dialogue_id)
 
 
 def rollout_to_first_violation(
@@ -347,10 +353,6 @@ def continue_rollout(
     config: SimulationConfig,
     point: ViolationPoint,
     remediation: str,
-    *,
-    dialogue_id: str = "probe-0",
-    topic: Topic = Topic.PRODUCT_SALE,
-    language: str = "en",
 ) -> Dialogue:
     """Complete a rollout from a violation point with the given remediation.
 
@@ -364,4 +366,37 @@ def continue_rollout(
     replay = SimulationConfig(p_c=config.p_c, max_turns=config.max_turns, seed=point.seed)
     lane = _ScriptedLane(world, replay.max_turns)
     turns, _ = _rollout(lane, replay, None, forced_remediation=remediation)
-    return lane.dialogue(turns, id=dialogue_id, topic=topic, language=language)
+    return lane.dialogue(turns, "probe-0")
+
+
+def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20) -> Dialogue:
+    """Play one scripted negotiation with a person speaking for ``role``.
+
+    Runs from the fixed opening turns on the scripted lane, so both sides'
+    numbers move as in a rollout: the player's words replace the scripted
+    text of their turns, and the scripted counterpart never violates. A
+    seller turn marked ``violation`` charges goodwill through the lane; when
+    it carries ``original_text`` its text is the accepted rewrite, whose
+    quality the world reads back. The dialogue ends at a deal, a walk-away,
+    the turn cap, or when ``speak`` returns None; it always has an outcome.
+    """
+    lane = _ScriptedLane(world, max_turns)
+    turns = _opening_turns(world.bounds)
+    speaker = _BUYER
+    while not lane.done(turns):
+        turn = speak(tuple(turns)) if speaker is role else None
+        if turn is None and speaker is role:  # the player left
+            break
+        if turn is not None and turn.violation:
+            if speaker is not _SELLER:
+                raise ValueError("only seller turns can be flagged as violations")
+            lane.seller(turns, True)
+            lane.violated(turn.text if turn.original_text is not None else None)
+        else:
+            # The scripted step moves this side's number; its text is kept
+            # only for the counterpart.
+            text = lane.buyer(turns) if speaker is _BUYER else lane.seller(turns, False)
+            turn = turn or Turn(speaker=speaker, text=text)
+        turns.append(turn)
+        speaker = _SELLER if speaker is _BUYER else _BUYER
+    return lane.dialogue(turns, "interactive-0")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from negotia.backends import (
@@ -105,6 +108,44 @@ def test_chat_disk_cache(tmp_path):
     assert len(calls) == 1
     assert chat(session, [{"role": "user", "content": "other"}]) == "cached answer"
     assert len(calls) == 2
+
+
+def test_chat_cache_key_is_stable(tmp_path):
+    # Pinned digest of one request: a change to the key would orphan every
+    # existing cache directory.
+    session = BackendSession(
+        kind="remote", endpoint="http://example.invalid/v1", model_name="m-1",
+        temperature=0.7, max_tokens=64, cache_dir=tmp_path,
+        transport=lambda body: ok_response("answer"),
+    )
+    msgs = [
+        {"role": "system", "content": "Négociez poliment."},
+        {"role": "user", "content": "$50 per unit?"},
+    ]
+    assert chat(session, msgs) == "answer"
+    assert [p.name for p in tmp_path.iterdir()] == [
+        "3d2d2548403c071dd111e16b654572d5811b1b05e319bb5df242c7dfbf05d470.json"
+    ]
+
+
+def test_chat_cache_concurrent_writers(tmp_path):
+    threads = 8
+    for trial in range(10):
+        # Every thread misses the cache before any of them writes it.
+        barrier = threading.Barrier(threads)
+
+        def transport(body):
+            barrier.wait(timeout=10)
+            return ok_response("same answer")
+
+        session = remote_session(transport, cache_dir=tmp_path / str(trial))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [
+                pool.submit(chat, session, [{"role": "user", "content": "hi"}])
+                for _ in range(threads)
+            ]
+            assert [f.result() for f in futures] == ["same answer"] * threads
+        assert [p.suffix for p in (tmp_path / str(trial)).iterdir()] == [".json"]
 
 
 def test_remediation_quality_parsing():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+
+import pytest
 
 from negotia.cli import run
 from negotia.core import load_dialogues, load_exemplars
@@ -140,6 +143,8 @@ def test_remediate_command_prints_rewrite(tmp_path, capsys):
                 "--in", str(query)]) == 0
     printed = capsys.readouterr().out.strip()
     assert "[q=0.9" in printed
+    # remediate writes no file, so it leaves no manifest.
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_remediate_unknown_member_is_usage_error(tmp_path):
@@ -198,16 +203,42 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert manifest["base_seed"] == 7
 
 
+SESSION_LINES = {
+    "seller": ["We can offer $48 per unit.", "/flag Take it or leave it, $47 final!", "y"],
+    # A buyer cannot flag: the notice is printed and the line asked again.
+    "buyer": ["/flag You are wasting my time!", "Could you go a little lower?"],
+}
+
+
+def play_session(tmp_path, monkeypatch, role):
+    lines = iter(SESSION_LINES[role])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines, "Let us keep talking."))
+    out = tmp_path / "session.jsonl"
+    assert run(["interactive", "--role", role, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("role", ["seller", "buyer"])
+def test_interactive_session_both_roles(tmp_path, monkeypatch, capsys, role):
+    out = play_session(tmp_path, monkeypatch, role)
+    [d] = load_dialogues(out)
+    assert d.outcome is not None and d.outcome.deal
+    # The scripted counterpart concedes every round.
+    prices = [
+        float(m.group(1).replace(",", ""))
+        for t in d.turns[1:]
+        if t.speaker.value != role and (m := re.search(r"\$([\d,.]+\d)", t.text))
+    ]
+    assert len(prices) > 2 and len(set(prices)) == len(prices)
+    assert prices == sorted(prices, reverse=(role == "buyer"))
+    manifest = read_manifest(out)
+    assert manifest["command"] == "interactive"
+    assert str(out) in manifest["outputs"]
+    assert manifest["counts"]["turns"] == len(d.turns)
+
+
 def test_interactive_session(tmp_path, monkeypatch, capsys):
-    lines = iter([
-        "We can offer $48 per unit.",
-        "/flag Take it or leave it, $47 final!",
-        "y",
-        "/quit",
-    ])
-    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
-    out = tmp_path / "session.json"
-    assert run(["interactive", "--role", "seller", "--out", str(out)]) == 0
+    out = play_session(tmp_path, monkeypatch, "seller")
     record = json.loads(out.read_text())
     assert record["interactive_choices"] == [
         {
@@ -218,5 +249,45 @@ def test_interactive_session(tmp_path, monkeypatch, capsys):
     ]
     flagged = [t for t in record["turns"] if t.get("violation")]
     assert len(flagged) == 1
+    assert flagged[0]["speaker"] == "seller"
     assert flagged[0]["original_text"] == "Take it or leave it, $47 final!"
     assert "acceptance rate: 1/1" in capsys.readouterr().out
+
+
+def test_interactive_buyer_flag_is_not_a_violation(tmp_path, monkeypatch, capsys):
+    out = play_session(tmp_path, monkeypatch, "buyer")
+    record = json.loads(out.read_text())
+    assert record["interactive_choices"] == []
+    assert not any(t["violation"] for t in record["turns"])
+    assert "You are wasting my time!" not in out.read_text()
+    assert "only seller lines can be flagged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "2", "--out", "{out}"],
+        ["annotate", "--in", "{corpus}", "--out", "{out}"],
+        ["filter", "--pool", "{pool}", "--sample", "3", "--probe-size", "2", "--out", "{out}"],
+        ["search", "--ranked", "{ranked}", "--pool", "{pool}", "--k", "2", "--probe-size", "2",
+         "--out", "{out}"],
+        ["select", "--strategy", "random", "--pool", "{pool}", "--k", "2", "--out", "{out}"],
+        ["evaluate", "--in", "{corpus}", "--report", "{out}"],
+        ["interactive", "--role", "buyer", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_writing_subcommand_writes_a_manifest(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr("builtins.input", lambda prompt="": "/quit")
+    ranked = tmp_path / "ranked.json"
+    ranked.write_text(json.dumps([{"id": f"ex-{q}", "value_impact": q} for q in (0.9, 0.8, 0.7)]))
+    paths = {
+        "corpus": simulate_corpus(tmp_path, extra=["--p-c", "0.9"]),
+        "pool": make_pool_file(tmp_path, (0.9, 0.8, 0.7)),
+        "ranked": ranked,
+        "out": tmp_path / "out.json",
+    }
+    assert run([a.format(**paths) for a in argv]) == 0
+    manifest = read_manifest(paths["out"])
+    assert manifest["command"] == argv[0]
+    assert str(paths["out"]) in manifest["outputs"]

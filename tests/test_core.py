@@ -20,7 +20,6 @@ from negotia.core import (
     Turn,
     dump_dialogues,
     dump_exemplars,
-    extract_exemplars,
     format_money,
     load_dialogues,
     load_exemplars,
@@ -87,24 +86,6 @@ def test_validate_dialogue_catches_problems(bounds):
     assert "non-seller" in joined
     assert "violation=false" in joined
     assert "alternate" in joined
-
-
-def test_extract_exemplars_histories_use_final_texts(bounds):
-    turns = [
-        Turn(speaker=Speaker.BUYER, text="hello"),
-        Turn(speaker=Speaker.SELLER, text="polite version", violation=True, original_text="rude"),
-        Turn(speaker=Speaker.BUYER, text="ok"),
-        Turn(speaker=Speaker.SELLER, text="rude again", violation=True),
-    ]
-    d = make_dialogue(turns, bounds, did="d-7")
-    exemplars, skipped = extract_exemplars(d)
-    assert skipped == 1
-    assert len(exemplars) == 1
-    e = exemplars[0]
-    assert e.id == "d-7#1"
-    assert e.violation_text == "rude"
-    assert e.remediation_text == "polite version"
-    assert e.history == (turns[0],)
 
 
 def test_dialogue_roundtrip(tmp_path, bounds):

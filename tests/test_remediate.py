@@ -120,6 +120,7 @@ def test_silver_annotate_mixed_corpus(bounds, scripted_session):
     # A turn already remediated in the corpus keeps its recorded rewrite.
     assert recorded.violation_text == "rude one"
     assert recorded.remediation_text == "polite rewrite"
+    assert recorded.history == turns[:1]
     # An unremediated turn gets the zero-shot rewrite.
     assert generated.violation_text == "rude two"
     assert remediation_quality(generated.remediation_text) == SILVER_SCRIPTED_QUALITY

@@ -14,6 +14,7 @@ from negotia.simulation import (
     SimulationConfig,
     continue_rollout,
     moderator_end,
+    play,
     rollout_to_first_violation,
     seller_opener,
     simulate,
@@ -286,3 +287,22 @@ def test_remote_lane_requires_bounds_templates_evaluator(templates, bounds):
     session = remote(scripted_transport(REMOTE_SCRIPT))
     with pytest.raises(ValueError):
         simulate(session, session, session, SimulationConfig(), templates, bounds=bounds)
+
+
+def test_play_charges_flagged_seller_turns(world):
+    def speak(turns):
+        return Turn(speaker=Speaker.SELLER, text="Take it or leave it!", violation=True)
+
+    d = play(world, Speaker.SELLER, speak)
+    assert validate_dialogue(d) == []
+    # Two unremediated violations use up the goodwill: the buyer walks away.
+    assert [t.violation for t in d.turns[2:]] == [False, True, False, True]
+    assert d.outcome is not None and not d.outcome.deal
+
+
+def test_play_rejects_flagged_buyer_turns(world):
+    def speak(turns):
+        return Turn(speaker=Speaker.BUYER, text="You are wasting my time!", violation=True)
+
+    with pytest.raises(ValueError, match="only seller turns"):
+        play(world, Speaker.BUYER, speak)
