@@ -104,7 +104,10 @@ def _http_transport(session: BackendSession) -> Callable[[dict], dict]:
             raise NetworkError(str(exc)) from exc
         if resp.status_code != 200:
             raise NetworkError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-        return resp.json()
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise NetworkError(f"unreadable response body: {exc}") from exc
 
     return post
 
@@ -116,6 +119,8 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
     serialization of the request body (model, generation params, messages).
     Each writer renames its own temp file into place, so concurrent writers
     of one key never collide; the last rename wins with identical contents.
+    Only a transport's ``NetworkError`` is retried; a malformed response or
+    cache entry raises ``BackendError``.
     """
     if session.kind != "remote":
         raise BackendError("chat requires a remote session")
@@ -135,28 +140,34 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
     if session.cache_dir is not None:
         cache_path = Path(session.cache_dir) / f"{digest}.json"
         if cache_path.exists():
-            return json.loads(cache_path.read_text(encoding="utf-8"))["content"]
+            try:
+                return json.loads(cache_path.read_text(encoding="utf-8"))["content"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BackendError(f"unreadable cache entry {cache_path}: {exc!r}") from exc
 
     transport = session.transport or _http_transport(session)
 
-    last_exc: Optional[Exception] = None
+    last_exc: Optional[NetworkError] = None
     for attempt in range(session.retries + 1):
         try:
             data = transport(body)
             break
-        except ContentFilterError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - retried, then surfaced
+        except NetworkError as exc:
             last_exc = exc
             if attempt < session.retries:
                 time.sleep(session.backoff_base * (2**attempt))
     else:
         raise NetworkError(f"chat failed after {session.retries + 1} attempts: {last_exc}")
 
-    choice = data["choices"][0]
-    if choice.get("finish_reason") == "content_filter":
-        raise ContentFilterError("provider content filter refused the completion")
-    content = choice["message"]["content"]
+    try:
+        choice = data["choices"][0]
+        if choice.get("finish_reason") == "content_filter":
+            raise ContentFilterError("provider content filter refused the completion")
+        content = choice["message"]["content"]
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise BackendError(f"malformed provider response: {exc!r}") from exc
+    if not isinstance(content, str):
+        raise BackendError(f"malformed provider response: content is {content!r}")
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .backends import BackendSession, ScriptedWorld, derive_seed
+from .backends import BackendError, BackendSession, ScriptedWorld, derive_seed
 from .core import (
     CorpusError,
     Dialogue,
@@ -228,7 +228,7 @@ def _probe_and_rollout(args: argparse.Namespace, cfg: dict, seed: int):
     session = BackendSession(kind="scripted")
     sim_cfg = SimulationConfig(p_c=float(_setting(args, cfg, "p_c", 0.6)), seed=seed)
     silver = RemediationPolicy(exemplars=(), backend=session)
-    probe = build_probe_set(world, sim_cfg, int(args.probe_size), silver)
+    probe = build_probe_set(world, sim_cfg, int(_setting(args, cfg, "probe_size", 8)), silver)
     rollout_fn = make_scripted_rollout_fn(world, sim_cfg, RewardWeights())
     return session, probe, rollout_fn
 
@@ -241,7 +241,7 @@ def _cmd_filter(args: argparse.Namespace, cfg: dict) -> Written:
         pool, int(args.sample), probe, session, rollout_fn, sample_seed=seed
     )
     out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
-    snapshot = {"seed": seed, "sample": int(args.sample), "probe_size": int(args.probe_size)}
+    snapshot = {"seed": seed, "sample": int(args.sample), "probe_size": len(probe)}
     return Written([out], snapshot, {"ranked": len(ranked)}, (Path(args.pool),), seed)
 
 
@@ -272,7 +272,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
             "best": {"members": list(best.members), "impact": best.value_impact},
         }
         outputs.append(_write_json(args.trace, trace_obj))
-    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": int(args.probe_size)}
+    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": len(probe)}
     counts = {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)}
     return Written(outputs, snapshot, counts, (Path(args.pool), Path(args.ranked)), seed)
 
@@ -340,13 +340,16 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
             line = _ask(f"{role.value}> ")
             if line == "/quit":
                 return None
-            if line.startswith("/flag ") and role is Speaker.SELLER:
-                break
-            if line.startswith("/flag "):
-                print("only seller lines can be flagged; type your line again")
+            if line == "/flag" or line.startswith("/flag "):
+                raw = line[len("/flag") :].strip()
+                if role is not Speaker.SELLER:
+                    print("only seller lines can be flagged; type your line again")
+                elif not raw:
+                    print("'/flag' needs the line to flag after it; type your line again")
+                else:
+                    break
             elif line:
                 return Turn(speaker=role, text=line)
-        raw = line[len("/flag ") :]
         rewrite = remediate(policy, turns, raw, templates)
         print(f"proposed remediation: {rewrite}")
         accepted = _ask("accept remediation? [y/n] ").lower().startswith("y")
@@ -402,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # filter and search score exemplars over the same kind of probe set.
     probed = argparse.ArgumentParser(add_help=False)
     probed.add_argument("--pool", required=True)
-    probed.add_argument("--probe-size", dest="probe_size", type=int, default=8)
+    probed.add_argument("--probe-size", dest="probe_size", type=int, default=None)
     probed.add_argument("--p-c", dest="p_c", type=float, default=None)
     probed.add_argument("--seed", type=int, default=None)
     probed.add_argument("--out", required=True)
@@ -469,10 +472,14 @@ def run(argv: list[str]) -> int:
         if written is not None:
             _write_manifest(args.command, started, written)
         return 0
-    except (UsageError, CorpusError, OSError, RuntimeError, ValueError, KeyError) as exc:
+    except (UsageError, CorpusError, BackendError, OSError, RuntimeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

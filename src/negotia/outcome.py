@@ -6,7 +6,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .backends import BackendError, BackendSession, chat
+from .backends import BackendSession, chat
 from .core import Dialogue, NegotiationOutcome, PriceBounds
 from .prompts import TemplateStore, render, render_conversation
 
@@ -134,11 +134,10 @@ def assess_outcome(
     """Assess a terminal dialogue with three evaluator judgments.
 
     Scripted evaluation happens inside the rollout engine; this path covers
-    remote evaluators: deal/price extraction plus the trust and business
-    four-way labels, each mapped to {-1, 0, +1} with "not applicable" neutral.
+    remote evaluators (``chat`` refuses any other with ``BackendError``):
+    deal/price extraction plus the trust and business four-way labels, each
+    mapped to {-1, 0, +1} with "not applicable" neutral.
     """
-    if evaluator.kind != "remote":
-        raise BackendError("assess_outcome requires a remote evaluator; scripted rollouts attach outcomes directly")
     conv = render_conversation(d.turns)
 
     deal_reply = chat(evaluator, render(templates.get("deal_eval"), {"$CONVERSATION": conv}))

@@ -102,8 +102,8 @@ def silver_annotate(
 
     The corpus is not mutated; one exemplar is emitted per violation turn
     with ids "<dialogue id>#<turn index>". Already-remediated turns are
-    exported as-is via their recorded rewrite. Per-turn failures are logged
-    and skipped.
+    exported as-is via their recorded rewrite; a turn whose backend fails
+    keeps its original text (see ``remediate``).
     """
     policy = RemediationPolicy(exemplars=(), backend=backend)
     pool: list[Exemplar] = []
@@ -123,17 +123,12 @@ def silver_annotate(
                     )
                 )
                 continue
-            try:
-                rewrite = remediate(policy, d.turns[:i], t.text, templates)
-            except Exception as exc:  # noqa: BLE001 - per-turn isolation
-                log.warning("silver annotation failed for %s: %s", eid, exc)
-                continue
             pool.append(
                 Exemplar(
                     id=eid,
                     history=d.turns[:i],
                     violation_text=t.text,
-                    remediation_text=rewrite,
+                    remediation_text=remediate(policy, d.turns[:i], t.text, templates),
                 )
             )
     return pool

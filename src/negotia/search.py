@@ -8,7 +8,6 @@ replacements. The best set seen (including the initial set) wins.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -24,8 +23,6 @@ __all__ = [
     "split_candidates",
     "search_optimal_set",
 ]
-
-log = logging.getLogger(__name__)
 
 # Estimates the value impact of an ordered exemplar-id set. The probe set
 # behind it must stay fixed for a whole search so impacts are comparable.
@@ -87,7 +84,7 @@ def search_optimal_set(
     The initial set's own impact seeds the best tracker, so the search is
     total even when no replacement improves. Candidate iteration strictly
     follows the given rank order; the trace records every evaluation in
-    commit order so this is assertable.
+    commit order so this is assertable. Errors from ``impact_fn`` propagate.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -132,12 +129,7 @@ def search_optimal_set(
                 + (candidate,)
                 + node.members[node.replace_index + 1 :]
             )
-            try:
-                child_impact = impact_of(child)
-            except Exception as exc:  # noqa: BLE001 - skip and count as a failure step
-                log.warning("impact estimation failed for %s: %s", child, exc)
-                failures += 1
-                continue
+            child_impact = impact_of(child)
             d = child_impact - node.impact  # non-positive counts as a failure
             trace.evaluations.append(
                 Evaluation(members=child, impact=child_impact, parent=node.members, delta=d)

@@ -9,7 +9,6 @@ difference isolates the rewrite and the identity case is exactly zero.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -17,7 +16,6 @@ from typing import Callable, Optional
 from .backends import BackendSession, ScriptedWorld, derive_seed
 from .core import Exemplar, Turn
 from .outcome import RewardWeights, reward
-from .prompts import TemplateStore
 from .remediate import RemediationPolicy, remediate
 from .simulation import (
     SimulationConfig,
@@ -37,11 +35,12 @@ __all__ = [
     "rank_individuals",
 ]
 
-log = logging.getLogger(__name__)
-
 # A rollout function completes a dialogue from a violation point with the
 # given rewrite and returns the final reward.
 RolloutFn = Callable[[ViolationPoint, str], float]
+
+# Rollouts build_probe_set tries per probe point before it gives up.
+PROBE_RETRY_BUDGET = 20
 
 
 @dataclass
@@ -87,13 +86,11 @@ def build_probe_set(
     config: SimulationConfig,
     n_points: int,
     silver_policy: RemediationPolicy,
-    templates: Optional[TemplateStore] = None,
-    retry_budget: int = 20,
 ) -> list[RemediationPoint]:
     """Synthesize probe points by rolling out to a first violation.
 
     Rollouts that finish without a violation are discarded and regenerated
-    with a fresh derived seed, up to the retry budget per point.
+    with a fresh derived seed, up to PROBE_RETRY_BUDGET attempts per point.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
@@ -103,7 +100,7 @@ def build_probe_set(
     points: list[RemediationPoint] = []
     for i in range(n_points):
         point = None
-        for attempt in range(retry_budget):
+        for attempt in range(PROBE_RETRY_BUDGET):
             seed = derive_seed(config.seed, "probe", i, attempt)
             cfg = SimulationConfig(
                 p_c=config.p_c,
@@ -116,9 +113,9 @@ def build_probe_set(
                 break
         if point is None:
             raise RuntimeError(
-                f"probe point {i}: no violation within {retry_budget} regenerations"
+                f"probe point {i}: no violation within {PROBE_RETRY_BUDGET} regenerations"
             )
-        silver_y = remediate(silver_policy, point.prefix, point.violation_text, templates)
+        silver_y = remediate(silver_policy, point.prefix, point.violation_text)
         points.append(
             RemediationPoint(
                 prefix=point.prefix,
@@ -144,20 +141,17 @@ def estimate_value_impact(
     policy: RemediationPolicy,
     probe: list[RemediationPoint],
     rollout_fn: RolloutFn,
-    templates: Optional[TemplateStore] = None,
 ) -> ValueEstimate:
-    """Mean value over the probe set when the policy produces the rewrites."""
+    """Mean value over the probe set when the policy produces the rewrites.
+
+    Every point is scored, so estimates on one probe set are always paired.
+    """
     if not probe:
         raise ValueError("probe set must be non-empty")
     per_point: list[float] = []
     for point in probe:
-        try:
-            y_prime = remediate(policy, point.prefix, point.violation_text, templates)
-            per_point.append(value_of_remediation(point, y_prime, rollout_fn))
-        except Exception as exc:  # noqa: BLE001 - invalid points drop out of the mean
-            log.warning("probe point invalid, excluded from the mean: %s", exc)
-    if not per_point:
-        raise RuntimeError("all probe points failed")
+        y_prime = remediate(policy, point.prefix, point.violation_text)
+        per_point.append(value_of_remediation(point, y_prime, rollout_fn))
     return ValueEstimate(
         mean=sum(per_point) / len(per_point),
         n_points=len(per_point),
@@ -172,7 +166,6 @@ def rank_individuals(
     backend: BackendSession,
     rollout_fn: RolloutFn,
     sample_seed: int = 0,
-    templates: Optional[TemplateStore] = None,
 ) -> list[tuple[str, float]]:
     """Rank a uniform sample of singleton exemplar sets by value impact.
 
@@ -188,7 +181,7 @@ def rank_individuals(
     scored: list[tuple[str, float]] = []
     for exemplar in sample:
         policy = RemediationPolicy(exemplars=(exemplar,), backend=backend)
-        estimate = estimate_value_impact(policy, probe, rollout_fn, templates)
+        estimate = estimate_value_impact(policy, probe, rollout_fn)
         scored.append((exemplar.id, estimate.mean))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored

@@ -82,6 +82,83 @@ def test_chat_exhausts_retries():
         chat(remote_session(dead, retries=3), [{"role": "user", "content": "hi"}])
 
 
+def test_chat_retries_only_network_errors():
+    calls = []
+
+    def broken(body):
+        calls.append(body)
+        raise TypeError("transport bug")
+
+    with pytest.raises(TypeError, match="transport bug"):
+        chat(remote_session(broken, retries=3), [{"role": "user", "content": "hi"}])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "response",
+    [
+        {},
+        None,
+        {"choices": []},
+        {"choices": ["stop"]},
+        {"choices": [{"finish_reason": "stop"}]},
+        {"choices": [{"finish_reason": "stop", "message": None}]},
+        {"choices": [{"finish_reason": "stop", "message": {"content": None}}]},
+    ],
+    ids=["empty", "null", "no-choice", "choice-not-object", "no-message", "null-message",
+         "null-content"],
+)
+def test_chat_malformed_response_is_backend_error(tmp_path, response):
+    calls = []
+
+    def transport(body):
+        calls.append(body)
+        return response
+
+    with pytest.raises(BackendError, match="malformed provider response") as info:
+        chat(remote_session(transport, cache_dir=tmp_path), [{"role": "user", "content": "hi"}])
+    assert not isinstance(info.value, NetworkError)
+    assert len(calls) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", ['{"content": "cut sh', '{"text": "x"}', "[1, 2]"])
+def test_chat_unreadable_cache_entry_is_backend_error(tmp_path, entry):
+    session = remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path)
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(session, msgs) == "answer"
+    [cached] = tmp_path.iterdir()
+    cached.write_text(entry, encoding="utf-8")
+    with pytest.raises(BackendError, match="unreadable cache entry"):
+        chat(session, msgs)
+
+
+def test_http_transport_retries_unreadable_body(monkeypatch):
+    import requests
+
+    class Garbled:
+        status_code = 200
+        text = "<html>"
+
+        def json(self):
+            raise ValueError("Expecting value")
+
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return Garbled()
+
+    monkeypatch.setattr(requests, "post", post)
+    session = BackendSession(
+        kind="remote", endpoint="http://example.invalid/v1", model_name="m",
+        retries=1, backoff_base=0.0,
+    )
+    with pytest.raises(NetworkError, match="unreadable response body"):
+        chat(session, [{"role": "user", "content": "hi"}])
+    assert posts == ["http://example.invalid/v1/chat/completions"] * 2
+
+
 def test_chat_content_filter_not_retried():
     calls = []
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,20 @@ def test_filter_and_search_pipeline(tmp_path):
     assert str(trace_path) in manifest["outputs"]
 
 
+def test_probe_size_from_config_file_and_flag(tmp_path):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"probe_size": 3}), encoding="utf-8")
+    out = tmp_path / "ranked.json"
+    base = ["--config", str(cfg), "filter", "--pool", str(pool_path), "--sample", "2",
+            "--out", str(out)]
+    assert run(base) == 0
+    assert read_manifest(out)["config"]["probe_size"] == 3
+    # A flag overrides the file.
+    assert run(base + ["--probe-size", "2"]) == 0
+    assert read_manifest(out)["config"]["probe_size"] == 2
+
+
 def test_select_random_and_retrieval(tmp_path):
     pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7, 0.3, 0.2, 0.1))
     out = tmp_path / "set.json"
@@ -182,6 +200,44 @@ def test_exit_codes(tmp_path):
     # Config file that does not exist: usage error.
     assert run(["--config", str(tmp_path / "absent.json"), "simulate",
                 "--out", str(tmp_path / "x.jsonl")]) == 1
+
+
+def test_module_entry_point_runs_a_command(tmp_path):
+    corpus = simulate_corpus(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "negotia.cli", "evaluate", "--in", str(corpus), "--report", "r.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["n"] == 5
+
+
+def test_uncontained_backend_failure_exits_2(tmp_path, monkeypatch, capsys):
+    import requests
+
+    class Reply:
+        status_code = 200
+
+        def __init__(self, content):
+            self.content = content
+
+        def json(self):
+            return {"choices": [{"finish_reason": "stop", "message": {"content": self.content}}]}
+
+    def post(url, json, **kwargs):
+        if any("whether a deal was reached" in m["content"] for m in json["messages"]):
+            raise requests.ConnectionError("evaluator unreachable")
+        return Reply("Yes")
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr("negotia.backends.time.sleep", lambda seconds: None)
+    # A failed turn ends its dialogue; a failed outcome assessment has no
+    # dialogue to end, so it fails the command.
+    assert run(["--api-base", "http://example.invalid/v1", "--model", "m", "simulate",
+                "--backend", "remote", "--n", "1", "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert "evaluator unreachable" in capsys.readouterr().err
 
 
 def test_removed_flags_are_usage_errors(tmp_path):
@@ -261,6 +317,18 @@ def test_interactive_buyer_flag_is_not_a_violation(tmp_path, monkeypatch, capsys
     assert not any(t["violation"] for t in record["turns"])
     assert "You are wasting my time!" not in out.read_text()
     assert "only seller lines can be flagged" in capsys.readouterr().out
+
+
+def test_interactive_bare_flag_is_refused(tmp_path, monkeypatch, capsys):
+    lines = iter(["/flag", "/flag ", "We can offer $48 per unit.", "/quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    out = tmp_path / "session.jsonl"
+    assert run(["interactive", "--role", "seller", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["interactive_choices"] == []
+    assert not any(t["text"].startswith("/flag") for t in record["turns"])
+    assert "We can offer $48 per unit." in [t["text"] for t in record["turns"]]
+    assert capsys.readouterr().out.count("'/flag' needs the line to flag") == 2
 
 
 @pytest.mark.parametrize(

@@ -100,13 +100,21 @@ def test_impact_cache_deduplicates():
     assert len(fn.calls) == len(set(fn.calls))
 
 
-def test_impact_failure_counts_as_failure_step():
+def test_impact_error_propagates_and_is_not_a_pruning():
+    calls = []
+
     def fn(members):
+        calls.append(members)
         if members == ("b",):
             raise RuntimeError("backend down")
         return {("a",): 0.5, ("c",): 0.9}[members]
 
-    best, trace = search_optimal_set(["a"], ["b", "c"], fn, m=1)
-    # The failed estimate consumed the single allowed failure; c is pruned.
-    assert best.members == ("a",)
-    assert len(trace.pruning_events) == 1
+    # The error ends the search; it is not counted as a failure step that
+    # would prune the better candidate c unseen.
+    with pytest.raises(RuntimeError, match="backend down"):
+        search_optimal_set(["a"], ["b", "c"], fn, m=1)
+    assert calls == [("a",), ("b",)]
+
+    # Without the error, the same search reaches c.
+    best, trace = search_optimal_set(["a"], ["c"], fn, m=1)
+    assert best.members == ("c",)

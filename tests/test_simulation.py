@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negotia.backends import BackendSession
+from negotia.backends import BackendSession, NetworkError
 from negotia.core import Speaker, Turn, validate_dialogue
 from negotia.simulation import (
     BUYER_OPENER,
@@ -213,7 +213,7 @@ def test_moderator_end_remote(templates):
     assert len(calls) == 1
 
     def dead(body):
-        raise RuntimeError("boom")
+        raise NetworkError("boom")
 
     failing = BackendSession(
         kind="remote", endpoint="http://example.invalid/v1", model_name="m",
@@ -268,7 +268,7 @@ def test_remote_lane_content_filter_marks_turn(bounds, templates):
 
 def test_remote_lane_surfaces_backend_failure(bounds, templates):
     def dead(body):
-        raise RuntimeError("boom")
+        raise NetworkError("boom")
 
     session = BackendSession(
         kind="remote", endpoint="http://example.invalid/v1", model_name="m",

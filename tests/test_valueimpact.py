@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from negotia.backends import remediation_quality, scripted_remediation_text
@@ -43,12 +45,10 @@ def test_build_probe_set_exhausts_retry_budget(world, scripted_session):
     silver = RemediationPolicy(exemplars=(), backend=scripted_session)
     # p_c=0 can never produce a violation, so regeneration must give up.
     with pytest.raises(RuntimeError, match="regenerations"):
-        build_probe_set(world, SimulationConfig(p_c=0.0, seed=1), 1, silver, retry_budget=3)
+        build_probe_set(world, SimulationConfig(p_c=0.0, seed=1), 1, silver)
 
 
 def test_value_identity_and_caching(probe, rollout_fn):
-    from dataclasses import replace
-
     # Fresh copy: the session-scoped probe may already carry a cached reward.
     point = replace(probe[0], silver_reward=None)
     assert point.silver_reward is None
@@ -80,27 +80,28 @@ def test_estimate_value_impact_empty_probe(scripted_session, rollout_fn):
         estimate_value_impact(policy, [], rollout_fn)
 
 
-def test_estimate_value_impact_excludes_failing_points(quality_pool, scripted_session, probe, rollout_fn):
+@pytest.mark.parametrize(
+    "failing_call",
+    [pytest.param(1, id="first-silver-rollout"), pytest.param(6, id="third-candidate-rollout")],
+)
+def test_estimate_value_impact_propagates_point_errors(
+    quality_pool, scripted_session, probe, rollout_fn, failing_call
+):
+    # A failing point fails the whole estimate instead of dropping out of the
+    # mean, so two sets scored on one probe set are always paired.
     calls = {"n": 0}
 
     def flaky(point, rewrite):
         calls["n"] += 1
-        if calls["n"] == 1:
+        if calls["n"] == failing_call:
             raise RuntimeError("bad point")
         return rollout_fn(point, rewrite)
 
+    fresh = [replace(p, silver_reward=None) for p in probe]
     policy = RemediationPolicy(exemplars=(quality_pool[0],), backend=scripted_session)
-    est = estimate_value_impact(policy, probe, flaky)
-    assert est.n_points == len(probe) - 1
-
-
-def test_estimate_value_impact_all_failed(scripted_session, probe):
-    def dead(point, rewrite):
-        raise RuntimeError("nope")
-
-    policy = RemediationPolicy(exemplars=(), backend=scripted_session)
-    with pytest.raises(RuntimeError, match="all probe points"):
-        estimate_value_impact(policy, probe, dead)
+    with pytest.raises(RuntimeError, match="bad point"):
+        estimate_value_impact(policy, fresh, flaky)
+    assert calls["n"] == failing_call
 
 
 def test_rank_individuals_orders_by_impact(quality_pool, scripted_session, probe, rollout_fn):
