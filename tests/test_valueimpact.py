@@ -104,6 +104,17 @@ def test_estimate_value_impact_propagates_point_errors(
     assert calls["n"] == failing_call
 
 
+def test_estimate_value_impact_all_failed(scripted_session, probe):
+    # With every point failing, the first error itself reaches the caller;
+    # there is no separate "all points failed" result.
+    def dead(point, rewrite):
+        raise RuntimeError("nope")
+
+    policy = RemediationPolicy(exemplars=(), backend=scripted_session)
+    with pytest.raises(RuntimeError, match="nope"):
+        estimate_value_impact(policy, probe, dead)
+
+
 def test_rank_individuals_orders_by_impact(quality_pool, scripted_session, probe, rollout_fn):
     ranked = rank_individuals(
         quality_pool, len(quality_pool), probe, scripted_session, rollout_fn, sample_seed=0
