@@ -102,8 +102,10 @@ def _http_transport(session: BackendSession) -> Callable[[dict], dict]:
             resp = requests.post(url, json=body, headers=headers, timeout=60)
         except requests.RequestException as exc:
             raise NetworkError(str(exc)) from exc
-        if resp.status_code != 200:
+        if resp.status_code in (408, 429) or resp.status_code >= 500:  # may pass on a retry
             raise NetworkError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+        if resp.status_code != 200:  # any other refusal would be refused again
+            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:
             return resp.json()
         except ValueError as exc:

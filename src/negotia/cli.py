@@ -103,9 +103,7 @@ def _setting(args: argparse.Namespace, cfg: dict, name: str, default):
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in cfg:
-        return cfg[name]
-    return default
+    return cfg.get(name, default)
 
 
 def _scripted_world(cfg: dict) -> ScriptedWorld:

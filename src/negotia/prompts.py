@@ -61,12 +61,7 @@ class PromptTemplate:
     segments: tuple[dict, ...]  # ordered {role, content} messages
 
     def wildcards(self) -> set[str]:
-        found = set()
-        for seg in self.segments:
-            for w in WILDCARDS:
-                if w in seg["content"]:
-                    found.add(w)
-        return found
+        return {w for seg in self.segments for w in WILDCARDS if w in seg["content"]}
 
 
 class TemplateStore:

@@ -63,9 +63,9 @@ def remediate(
 ) -> str:
     """Produce a rewrite of a violating utterance.
 
-    On backend failure or an empty completion the original text is returned
-    unchanged after one retry, with a logged no-remediation marker, so
-    corpora stay complete.
+    On backend failure (after ``chat``'s own retries) or an empty completion
+    the original text is returned unchanged, with a logged no-remediation
+    marker, so corpora stay complete.
     """
     if not violating_text:
         raise ValueError("violating text must be non-empty")
@@ -81,16 +81,14 @@ def remediate(
         "$LAST_SENTENCE": violating_text,
     }
     msgs = render(templates.get("remediator"), bindings)
-    for _attempt in range(2):
-        try:
-            completion = chat(policy.backend, msgs).strip()
-        except BackendError as exc:
-            log.warning("remediation attempt failed: %s", exc)
-            continue
-        if completion:
-            return completion
-    log.warning("no-remediation: falling back to the original utterance")
-    return violating_text
+    try:
+        completion = chat(policy.backend, msgs).strip()
+    except BackendError as exc:
+        log.warning("remediation failed: %s", exc)
+        completion = ""
+    if not completion:
+        log.warning("no-remediation: falling back to the original utterance")
+    return completion or violating_text
 
 
 def silver_annotate(

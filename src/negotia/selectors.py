@@ -34,15 +34,15 @@ class HashedNgramEmbedder:
     ngram: int = 3
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        padded = text.lower()
-        for i in range(max(len(padded) - self.ngram + 1, 0)):
-            gram = padded[i : i + self.ngram]
-            # Stable polynomial hash; Python's hash() is salted per process.
-            h = 0
-            for ch in gram:
-                h = (h * 131 + ord(ch)) % (2**31)
-            vec[h % self.dim] += 1.0
+        codes = np.frombuffer(text.lower().encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        m = max(len(codes) - self.ngram + 1, 0)
+        # Stable (h * 131 + c) mod 2**31 hash of each n-gram (hash() is salted per
+        # process); uint32 wraps mod 2**32, a multiple of 2**31, so one final mask is exact.
+        h = codes[:m].copy()
+        for j in range(1, self.ngram):
+            h *= np.uint32(131)
+            h += codes[j : j + m]
+        vec = np.bincount((h & np.uint32(2**31 - 1)) % self.dim, minlength=self.dim).astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm > 0:
             vec /= norm
@@ -77,10 +77,11 @@ def select_retrieval(
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} too small for K={k}")
     qv = embedder.embed(query)
+    q_zero = float(np.linalg.norm(qv)) == 0.0
     scored: list[tuple[float, str]] = []
     for e in pool:
         ev = embedder.embed(exemplar_text(e))
-        if float(np.linalg.norm(qv)) == 0.0 or float(np.linalg.norm(ev)) == 0.0:
+        if q_zero or float(np.linalg.norm(ev)) == 0.0:
             sim = float("-inf")
         else:
             sim = float(np.dot(qv, ev))

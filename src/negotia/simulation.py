@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .backends import (
@@ -147,7 +147,8 @@ class _RemoteLane:
     """Chat sessions speak; the moderator judges every new utterance.
 
     A seller turn refused by the content filter is recorded as withheld and
-    not judged; any other backend failure ends the dialogue with an error.
+    not judged; any other backend failure, the evaluator's too, ends the
+    dialogue with an error.
     """
 
     def __init__(
@@ -209,7 +210,10 @@ class _RemoteLane:
         d = Dialogue(id=dialogue_id, topic=_TOPIC, bounds=self.bounds, turns=tuple(turns), error=self.error)
         if self.error is not None:
             return d
-        return d.with_outcome(assess_outcome(d, self.evaluator, self.templates))
+        try:
+            return d.with_outcome(assess_outcome(d, self.evaluator, self.templates))
+        except BackendError as exc:
+            return replace(d, error=f"evaluator: {exc}")
 
 
 def _rollout(

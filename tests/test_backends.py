@@ -159,6 +159,42 @@ def test_http_transport_retries_unreadable_body(monkeypatch):
     assert posts == ["http://example.invalid/v1/chat/completions"] * 2
 
 
+@pytest.mark.parametrize(
+    "status, error, posts",
+    [
+        (400, BackendError, 1),
+        (401, BackendError, 1),
+        (404, BackendError, 1),
+        (408, NetworkError, 4),
+        (429, NetworkError, 4),
+        (503, NetworkError, 4),
+    ],
+)
+def test_http_transport_retries_only_transient_statuses(monkeypatch, status, error, posts):
+    import requests
+
+    class Refused:
+        status_code = status
+        text = "refused"
+
+    urls, sleeps = [], []
+
+    def post(url, **kwargs):
+        urls.append(url)
+        return Refused()
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr("negotia.backends.time.sleep", sleeps.append)
+    session = BackendSession(
+        kind="remote", endpoint="http://example.invalid/v1", model_name="m", retries=3,
+    )
+    with pytest.raises(error, match=f"HTTP {status}") as excinfo:
+        chat(session, [{"role": "user", "content": "hi"}])
+    assert type(excinfo.value) is error
+    assert len(urls) == posts
+    assert sleeps == [1.0, 2.0, 4.0][: posts - 1]
+
+
 def test_chat_content_filter_not_retried():
     calls = []
 

@@ -214,7 +214,7 @@ def test_module_entry_point_runs_a_command(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["n"] == 5
 
 
-def test_uncontained_backend_failure_exits_2(tmp_path, monkeypatch, capsys):
+def test_evaluator_failure_is_contained_to_its_dialogue(tmp_path, monkeypatch):
     import requests
 
     class Reply:
@@ -233,11 +233,17 @@ def test_uncontained_backend_failure_exits_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr("negotia.backends.time.sleep", lambda seconds: None)
-    # A failed turn ends its dialogue; a failed outcome assessment has no
-    # dialogue to end, so it fails the command.
+    # A failed outcome assessment, like a failed turn, ends only its own
+    # dialogue: the corpus is written and records the error.
+    out = tmp_path / "x.jsonl"
     assert run(["--api-base", "http://example.invalid/v1", "--model", "m", "simulate",
-                "--backend", "remote", "--n", "1", "--out", str(tmp_path / "x.jsonl")]) == 2
-    assert "evaluator unreachable" in capsys.readouterr().err
+                "--backend", "remote", "--n", "2", "--out", str(out)]) == 0
+    corpus = load_dialogues(out)
+    assert len(corpus) == 2
+    for d in corpus:
+        assert d.outcome is None
+        assert d.error.startswith("evaluator: ") and "evaluator unreachable" in d.error
+        assert len(d.turns) >= 2
 
 
 def test_removed_flags_are_usage_errors(tmp_path):

@@ -94,14 +94,39 @@ def test_remote_fallback_keeps_original(templates):
     assert remediate(policy, (), "rude text", templates) == "rude text"
 
 
-def test_remote_retries_empty_completion_once(templates):
-    replies = ["", "Second try worked."]
+def test_remote_empty_completion_keeps_original(templates):
+    replies = ["", "A second request would get this."]
 
     def transport(body):
         return {"choices": [{"finish_reason": "stop", "message": {"content": replies.pop(0)}}]}
 
     policy = RemediationPolicy(exemplars=(), backend=remote(transport))
-    assert remediate(policy, (), "rude", templates) == "Second try worked."
+    assert remediate(policy, (), "rude", templates) == "rude"
+    assert len(replies) == 1
+
+
+@pytest.mark.parametrize(
+    "error, calls",
+    [
+        # chat retries a NetworkError itself; remediate adds no round of its own.
+        (NetworkError("down"), 4),
+        # A content-filter refusal is deterministic, so it is asked once.
+        (None, 1),
+    ],
+    ids=["network-error", "content-filter"],
+)
+def test_remote_failure_is_requested_once(templates, error, calls):
+    requests = []
+
+    def transport(body):
+        requests.append(body)
+        if error is not None:
+            raise error
+        return {"choices": [{"finish_reason": "content_filter", "message": {"content": ""}}]}
+
+    policy = RemediationPolicy(exemplars=(), backend=remote(transport, retries=3))
+    assert remediate(policy, (), "rude", templates) == "rude"
+    assert len(requests) == calls
 
 
 def test_silver_annotate_mixed_corpus(bounds, scripted_session):

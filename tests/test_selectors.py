@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from negotia.backends import BackendSession, NetworkError
@@ -32,6 +34,53 @@ def test_embedder_deterministic_and_normalized():
 def test_embedder_short_text_is_zero_vector():
     emb = HashedNgramEmbedder()
     assert np.linalg.norm(emb.embed("ab")) == 0.0
+
+
+def loop_embed(text: str, dim: int, ngram: int) -> np.ndarray:
+    """Reference: the per-character loop the array version replaced."""
+    vec = np.zeros(dim, dtype=np.float64)
+    padded = text.lower()
+    for i in range(max(len(padded) - ngram + 1, 0)):
+        gram = padded[i : i + ngram]
+        h = 0
+        for ch in gram:
+            h = (h * 131 + ord(ch)) % (2**31)
+        vec[h % dim] += 1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+# Default st.text() never draws category Cs, so lone surrogates (which
+# json.loads('"\\ud800x"') yields) are added explicitly.
+any_text = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.characters(categories=["Cs"]),
+        st.characters(min_codepoint=0x10000),
+    ),
+    max_size=60,
+)
+
+
+@given(any_text, st.integers(1, 5), st.sampled_from([1, 7, 256, 1000]))
+@example("", 3, 256)
+@example("ab", 3, 256)
+@example("\ud800x", 1, 7)
+@example("\U0001f91d\udfff\u0130", 2, 1000)
+def test_embed_equals_per_character_loop(text, ngram, dim):
+    new = HashedNgramEmbedder(dim=dim, ngram=ngram).embed(text)
+    assert new.dtype == np.float64 and new.shape == (dim,)
+    assert np.array_equal(new, loop_embed(text, dim, ngram))
+
+
+def test_embed_bucket_ids_are_pinned():
+    # Pinned digest of one embedding: a change to the hash or the bucketing
+    # would silently change every retrieval ranking.
+    text = "Négociez poliment: 我们的价格是 $48 per unit 🤝 Take it or leave it! ΣΊΣΥΦΟΣ"
+    digest = hashlib.sha256(HashedNgramEmbedder().embed(text).tobytes()).hexdigest()
+    assert digest == "f19935a8652fffe245b52ff458d42288ed1b4942b7ca44572a5ccd84d7193f29"
 
 
 @given(st.text(min_size=3, max_size=40))
