@@ -35,15 +35,10 @@ from .core import (
 from .outcome import RewardWeights, evaluate_corpus
 from .prompts import TemplateStore
 from .remediate import RemediationPolicy, remediate, silver_annotate
-from .search import search_optimal_set, split_candidates
+from .search import ImpactFn, search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
 from .simulation import SimulationConfig, play, simulate
-from .valueimpact import (
-    build_probe_set,
-    estimate_value_impact,
-    make_scripted_rollout_fn,
-    rank_individuals,
-)
+from .valueimpact import build_probe_set, make_impact_fn, make_scripted_rollout_fn, rank_individuals
 
 __all__ = ["main", "run"]
 
@@ -221,25 +216,26 @@ def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> Written:
     return Written([out], snapshot, {"exemplars": len(pool)}, (Path(args.infile),))
 
 
-def _probe_and_rollout(args: argparse.Namespace, cfg: dict, seed: int):
+def _impact_fn(
+    args: argparse.Namespace, cfg: dict, seed: int, pool: list[Exemplar]
+) -> tuple[ImpactFn, int]:
+    """The value impact of pool id sets over one probe set, and its size."""
     world = _scripted_world(cfg)
     session = BackendSession(kind="scripted")
     sim_cfg = SimulationConfig(p_c=float(_setting(args, cfg, "p_c", 0.6)), seed=seed)
-    silver = RemediationPolicy(exemplars=(), backend=session)
-    probe = build_probe_set(world, sim_cfg, int(_setting(args, cfg, "probe_size", 8)), silver)
     rollout_fn = make_scripted_rollout_fn(world, sim_cfg, RewardWeights())
-    return session, probe, rollout_fn
+    silver = RemediationPolicy(exemplars=(), backend=session)
+    probe = build_probe_set(world, sim_cfg, int(_setting(args, cfg, "probe_size", 8)), silver, rollout_fn)
+    return make_impact_fn(pool, probe, session, rollout_fn), len(probe)
 
 
 def _cmd_filter(args: argparse.Namespace, cfg: dict) -> Written:
     seed = int(_setting(args, cfg, "seed", 0))
     pool = load_exemplars(args.pool)
-    session, probe, rollout_fn = _probe_and_rollout(args, cfg, seed)
-    ranked = rank_individuals(
-        pool, int(args.sample), probe, session, rollout_fn, sample_seed=seed
-    )
+    impact_fn, probe_size = _impact_fn(args, cfg, seed, pool)
+    ranked = rank_individuals(pool, int(args.sample), impact_fn, sample_seed=seed)
     out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
-    snapshot = {"seed": seed, "sample": int(args.sample), "probe_size": len(probe)}
+    snapshot = {"seed": seed, "sample": int(args.sample), "probe_size": probe_size}
     return Written([out], snapshot, {"ranked": len(ranked)}, (Path(args.pool),), seed)
 
 
@@ -252,15 +248,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
     s_init, s_cand = split_candidates(ranked, k)
 
-    session, probe, rollout_fn = _probe_and_rollout(args, cfg, seed)
-    by_id = {e.id: e for e in pool}
-
-    def impact_fn(members: tuple[str, ...]) -> float:
-        policy = RemediationPolicy(
-            exemplars=tuple(by_id[mid] for mid in members), backend=session
-        )
-        return estimate_value_impact(policy, probe, rollout_fn).mean
-
+    impact_fn, probe_size = _impact_fn(args, cfg, seed, pool)
     best, trace = search_optimal_set(s_init, s_cand, impact_fn, m)
     outputs = [_write_json(args.out, {"members": list(best.members), "value_impact": best.value_impact})]
     if args.trace:
@@ -270,7 +258,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
             "best": {"members": list(best.members), "impact": best.value_impact},
         }
         outputs.append(_write_json(args.trace, trace_obj))
-    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": len(probe)}
+    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": probe_size}
     counts = {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)}
     return Written(outputs, snapshot, counts, (Path(args.pool), Path(args.ranked)), seed)
 
@@ -301,9 +289,14 @@ def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> Written:
-    report = evaluate_corpus(load_dialogues(args.infile))
+    corpus = load_dialogues(args.infile)
+    scored = [d for d in corpus if d.outcome is not None]
+    excluded = [d.id for d in corpus if d.outcome is None]
+    # With no outcome at all, evaluate_corpus names the dialogues in its error.
+    report = evaluate_corpus(scored or corpus)
     out = _write_json(args.report, asdict(report))
-    return Written([out], {"in": args.infile}, {"dialogues": report.n}, (Path(args.infile),))
+    counts = {"dialogues": report.n, "excluded": len(excluded), "excluded_ids": excluded[:5]}
+    return Written([out], {"in": args.infile}, counts, (Path(args.infile),))
 
 
 def _ask(prompt: str) -> str:
@@ -317,7 +310,6 @@ def _ask(prompt: str) -> str:
 def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
     role = Speaker(args.role)
     world = _scripted_world(cfg)
-    templates = _templates(args)
     policy = RemediationPolicy(exemplars=(), backend=BackendSession(kind="scripted"))
     choices: list[dict] = []
     shown = 0  # turns already on screen
@@ -348,7 +340,7 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
                     break
             elif line:
                 return Turn(speaker=role, text=line)
-        rewrite = remediate(policy, turns, raw, templates)
+        rewrite = remediate(policy, turns, raw)
         print(f"proposed remediation: {rewrite}")
         accepted = _ask("accept remediation? [y/n] ").lower().startswith("y")
         choices.append({"original": raw, "remediation": rewrite, "accepted": accepted})

@@ -101,14 +101,16 @@ def _match_label(reply: str, labels: dict[str, int]) -> int | None:
 
 
 def _judge(evaluator: BackendSession, msgs: list[dict], labels: dict[str, int]) -> int:
-    """Map a four-way judgment reply to a delta; one re-ask, then neutral."""
-    for _attempt in range(2):
-        reply = chat(evaluator, msgs)
-        value = _match_label(reply, labels)
-        if value is not None:
-            return value
-    log.warning("unparseable evaluator reply %r, treating as not-applicable", reply)
-    return 0
+    """Map a four-way judgment reply to a delta; an unparseable one is neutral.
+
+    The request is sent once: a re-ask would be answered from the cache.
+    """
+    reply = chat(evaluator, msgs)
+    value = _match_label(reply, labels)
+    if value is None:
+        log.warning("unparseable evaluator reply %r, treating as not-applicable", reply)
+        return 0
+    return value
 
 
 def _parse_deal(reply: str) -> tuple[bool, int | None]:
@@ -144,12 +146,8 @@ def assess_outcome(
     try:
         deal, price = _parse_deal(deal_reply)
     except ValueError:
-        deal_reply = chat(evaluator, render(templates.get("deal_eval"), {"$CONVERSATION": conv}))
-        try:
-            deal, price = _parse_deal(deal_reply)
-        except ValueError:
-            log.warning("unparseable deal reply %r, treating as no deal", deal_reply)
-            deal, price = False, None
+        log.warning("unparseable deal reply %r, treating as no deal", deal_reply)
+        deal, price = False, None
 
     trust = _judge(evaluator, render(templates.get("trust_eval"), {"$CONVERSATION": conv}), _TRUST_LABELS)
     business = _judge(

@@ -36,8 +36,8 @@ WILDCARDS = (
     "BUYER_INIT_PRICE",
 )
 
-# trust_eval/business_eval/deal_eval bind $CONVERSATION only; moderator,
-# deal_eval, and critic have no printed source and are reconstructions.
+# trust_eval/business_eval/deal_eval bind $CONVERSATION only; moderator and
+# deal_eval have no printed source and are reconstructions.
 TEMPLATE_IDS = (
     "seller_violate",
     "seller_normal",
@@ -45,7 +45,6 @@ TEMPLATE_IDS = (
     "remediator",
     "trust_eval",
     "business_eval",
-    "critic",
     "moderator",
     "deal_eval",
 )
@@ -118,7 +117,7 @@ def render_conversation(turns: list[Turn] | tuple[Turn, ...]) -> str:
 def format_icl_block(exemplars: list[Exemplar] | tuple[Exemplar, ...]) -> str:
     """Render exemplars in members order as "# Dialogue:" blocks.
 
-    The violating line is suffixed "[violation]"; the RLNL rationale, when
+    The violating line is suffixed "[violation]"; the rationale, when
     present, follows the remediation text.
     """
     blocks = []

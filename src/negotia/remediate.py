@@ -7,7 +7,7 @@ import logging
 from dataclasses import dataclass
 
 from .backends import BackendError, BackendSession, scripted_remediation_text, chat
-from .core import Dialogue, Exemplar, ExemplarSet, Turn
+from .core import Dialogue, Exemplar, Turn
 from .prompts import TemplateStore, format_icl_block, render, render_conversation
 
 __all__ = [
@@ -34,10 +34,6 @@ class RemediationPolicy:
 
     exemplars: tuple[Exemplar, ...]
     backend: BackendSession
-
-    @property
-    def exemplar_set(self) -> ExemplarSet:
-        return ExemplarSet(members=tuple(e.id for e in self.exemplars))
 
     def scripted_quality(self) -> float:
         """Mean latent quality of the members, clamped to [0, 1].

@@ -1,27 +1,21 @@
-"""Baseline exemplar-selection strategies: random ICL, retrieval ICL, and
-critic (RLNL) augmentation."""
+"""Baseline exemplar-selection strategies: random ICL and retrieval ICL."""
 
 from __future__ import annotations
 
-import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import BackendError, BackendSession, chat
-from .core import Dialogue, Exemplar, ExemplarSet, Turn
-from .prompts import TemplateStore, render, render_conversation
+from .core import Exemplar, ExemplarSet
+from .prompts import render_conversation
 
 __all__ = [
     "HashedNgramEmbedder",
     "exemplar_text",
     "select_random",
     "select_retrieval",
-    "rlnl_augment",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -88,29 +82,3 @@ def select_retrieval(
         scored.append((sim, e.id))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return ExemplarSet(members=tuple(eid for _sim, eid in scored[:k]))
-
-
-def rlnl_augment(
-    finished: Dialogue,
-    exemplar: Exemplar,
-    critic: BackendSession,
-    templates: TemplateStore,
-) -> Exemplar:
-    """Attach a critic summary of the remediation to the exemplar's rationale.
-
-    Augmenting twice overwrites the rationale. On critic failure the
-    exemplar is returned unmodified with a logged warning.
-    """
-    if not any(t.text == exemplar.remediation_text for t in finished.turns):
-        raise ValueError("finished dialogue does not contain the exemplar's remediation")
-    bindings = {
-        "$CONVERSATION": render_conversation(finished.turns),
-        "$LAST_SENTENCE": exemplar.violation_text,
-    }
-    msgs = render(templates.get("critic"), bindings)
-    try:
-        summary = chat(critic, msgs).strip()
-    except BackendError as exc:
-        log.warning("critic failed, exemplar left unmodified: %s", exc)
-        return exemplar
-    return replace(exemplar, rationale=summary)

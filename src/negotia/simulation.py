@@ -280,7 +280,7 @@ def moderator_end(
     trajectory: tuple[Turn, ...],
     backend: BackendSession,
     *,
-    templates: Optional[TemplateStore] = None,
+    templates: TemplateStore,
     max_turns: int = 20,
 ) -> bool:
     """Decide whether a remote negotiation has concluded.
@@ -292,8 +292,6 @@ def moderator_end(
         raise ValueError("trajectory must be non-empty")
     if len(trajectory) >= max_turns:
         return True
-    if templates is None:
-        raise ValueError("remote moderator requires templates")
     conv = render_conversation(trajectory)
     msgs = render(templates.get("moderator"), {"$CONVERSATION": conv})
     try:

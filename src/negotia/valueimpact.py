@@ -10,13 +10,14 @@ difference isolates the rewrite and the identity case is exactly zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from .backends import BackendSession, ScriptedWorld, derive_seed
-from .core import Exemplar, Turn
+from .core import Exemplar
 from .outcome import RewardWeights, reward
 from .remediate import RemediationPolicy, remediate
+from .search import ImpactFn
 from .simulation import (
     SimulationConfig,
     ViolationPoint,
@@ -32,6 +33,7 @@ __all__ = [
     "build_probe_set",
     "value_of_remediation",
     "estimate_value_impact",
+    "make_impact_fn",
     "rank_individuals",
 ]
 
@@ -43,24 +45,13 @@ RolloutFn = Callable[[ViolationPoint, str], float]
 PROBE_RETRY_BUDGET = 20
 
 
-@dataclass
-class RemediationPoint:
-    """A probe point: prefix, violating utterance, and its silver rewrite.
+@dataclass(frozen=True)
+class RemediationPoint(ViolationPoint):
+    """A probe point: a violation point, its silver rewrite, and the reward of
+    the silver rewrite's rollout, fixed when the probe set is built."""
 
-    The silver rollout reward is computed once and cached; it does not depend
-    on the candidate exemplar set.
-    """
-
-    prefix: tuple[Turn, ...]
-    violation_text: str
     silver_y: str
-    seed: int
-    silver_reward: Optional[float] = field(default=None, compare=False)
-
-    def as_violation_point(self) -> ViolationPoint:
-        return ViolationPoint(
-            prefix=self.prefix, violation_text=self.violation_text, seed=self.seed
-        )
+    silver_reward: float
 
 
 @dataclass(frozen=True)
@@ -86,11 +77,13 @@ def build_probe_set(
     config: SimulationConfig,
     n_points: int,
     silver_policy: RemediationPolicy,
-) -> list[RemediationPoint]:
+    rollout_fn: RolloutFn,
+) -> tuple[RemediationPoint, ...]:
     """Synthesize probe points by rolling out to a first violation.
 
     Rollouts that finish without a violation are discarded and regenerated
     with a fresh derived seed, up to PROBE_RETRY_BUDGET attempts per point.
+    Each point's silver rollout runs here, once.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
@@ -120,26 +113,24 @@ def build_probe_set(
             RemediationPoint(
                 prefix=point.prefix,
                 violation_text=point.violation_text,
-                silver_y=silver_y,
                 seed=point.seed,
+                silver_y=silver_y,
+                silver_reward=rollout_fn(point, silver_y),
             )
         )
-    return points
+    return tuple(points)
 
 
 def value_of_remediation(
     point: RemediationPoint, y_prime: str, rollout_fn: RolloutFn
 ) -> float:
     """Paired-seed reward difference of a candidate rewrite vs the silver one."""
-    vp = point.as_violation_point()
-    if point.silver_reward is None:
-        point.silver_reward = rollout_fn(vp, point.silver_y)
-    return rollout_fn(vp, y_prime) - point.silver_reward
+    return rollout_fn(point, y_prime) - point.silver_reward
 
 
 def estimate_value_impact(
     policy: RemediationPolicy,
-    probe: list[RemediationPoint],
+    probe: tuple[RemediationPoint, ...],
     rollout_fn: RolloutFn,
 ) -> ValueEstimate:
     """Mean value over the probe set when the policy produces the rewrites.
@@ -159,12 +150,26 @@ def estimate_value_impact(
     )
 
 
+def make_impact_fn(
+    pool: list[Exemplar],
+    probe: tuple[RemediationPoint, ...],
+    backend: BackendSession,
+    rollout_fn: RolloutFn,
+) -> ImpactFn:
+    """The mean value impact over ``probe`` of a set of pool exemplar ids."""
+    by_id = {e.id: e for e in pool}
+
+    def impact(members: tuple[str, ...]) -> float:
+        policy = RemediationPolicy(exemplars=tuple(by_id[m] for m in members), backend=backend)
+        return estimate_value_impact(policy, probe, rollout_fn).mean
+
+    return impact
+
+
 def rank_individuals(
     pool: list[Exemplar],
     sample_size: int,
-    probe: list[RemediationPoint],
-    backend: BackendSession,
-    rollout_fn: RolloutFn,
+    impact_fn: ImpactFn,
     sample_seed: int = 0,
 ) -> list[tuple[str, float]]:
     """Rank a uniform sample of singleton exemplar sets by value impact.
@@ -177,11 +182,6 @@ def rank_individuals(
     if sample_size > len(pool):
         raise ValueError("sample_size exceeds pool size")
     rng = random.Random(sample_seed)
-    sample = rng.sample(pool, sample_size)
-    scored: list[tuple[str, float]] = []
-    for exemplar in sample:
-        policy = RemediationPolicy(exemplars=(exemplar,), backend=backend)
-        estimate = estimate_value_impact(policy, probe, rollout_fn)
-        scored.append((exemplar.id, estimate.mean))
+    scored = [(e.id, impact_fn((e.id,))) for e in rng.sample(pool, sample_size)]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored

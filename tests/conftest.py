@@ -60,13 +60,13 @@ def weights() -> RewardWeights:
 
 
 @pytest.fixture(scope="session")
-def probe(world, scripted_session):
-    config = SimulationConfig(p_c=0.6, seed=42)
-    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
-    return build_probe_set(world, config, 8, silver)
-
-
-@pytest.fixture(scope="session")
 def rollout_fn(world, weights):
     config = SimulationConfig(p_c=0.6, seed=42)
     return make_scripted_rollout_fn(world, config, weights)
+
+
+@pytest.fixture(scope="session")
+def probe(world, scripted_session, rollout_fn):
+    config = SimulationConfig(p_c=0.6, seed=42)
+    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
+    return build_probe_set(world, config, 8, silver, rollout_fn)

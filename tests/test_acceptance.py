@@ -25,11 +25,7 @@ from negotia.remediate import RemediationPolicy
 from negotia.search import search_optimal_set
 from negotia.selectors import HashedNgramEmbedder, exemplar_text, select_retrieval
 from negotia.simulation import SimulationConfig, simulate
-from negotia.valueimpact import (
-    build_probe_set,
-    estimate_value_impact,
-    value_of_remediation,
-)
+from negotia.valueimpact import build_probe_set, make_impact_fn, value_of_remediation
 
 from conftest import QUALITIES, make_exemplar
 
@@ -55,7 +51,7 @@ def test_criterion_1_reward_exactness(bounds, weights):
 def test_criterion_2_identity_zero(world, scripted_session, rollout_fn):
     config = SimulationConfig(p_c=0.6, seed=42)
     silver = RemediationPolicy(exemplars=(), backend=scripted_session)
-    points = build_probe_set(world, config, 20, silver)
+    points = build_probe_set(world, config, 20, silver, rollout_fn)
     values = [value_of_remediation(p, p.silver_y, rollout_fn) for p in points]
     ok = all(v == 0.0 for v in values)
     _report(2, ok, f"{len(points)} points")
@@ -63,10 +59,8 @@ def test_criterion_2_identity_zero(world, scripted_session, rollout_fn):
 
 
 def test_criterion_3_oracle_monotonicity(quality_pool, scripted_session, probe, rollout_fn):
-    impacts = {}
-    for e in quality_pool:
-        policy = RemediationPolicy(exemplars=(e,), backend=scripted_session)
-        impacts[e.latent_quality] = estimate_value_impact(policy, probe, rollout_fn).mean
+    impact_fn = make_impact_fn(quality_pool, probe, scripted_session, rollout_fn)
+    impacts = {e.latent_quality: impact_fn((e.id,)) for e in quality_pool}
     pairs = list(itertools.combinations(sorted(QUALITIES, reverse=True), 2))
     ok = all(impacts[hi] > impacts[lo] for hi, lo in pairs)
     _report(3, ok, f"{len(pairs)} pairwise comparisons")
@@ -92,16 +86,10 @@ def _reachable_sets(root: tuple[str, ...], cand: list[str]) -> set[tuple[str, ..
 
 
 def test_criterion_4_search_oracle_equivalence(quality_pool, scripted_session, probe, rollout_fn):
-    by_id = {e.id: e for e in quality_pool}
     # Deliberately weak initial set so the traversal has room to improve.
     s_init = ["ex-0.2", "ex-0.1"]
     s_cand = ["ex-0.9", "ex-0.8", "ex-0.7", "ex-0.3"]
-
-    def impact_fn(members: tuple[str, ...]) -> float:
-        policy = RemediationPolicy(
-            exemplars=tuple(by_id[m] for m in members), backend=scripted_session
-        )
-        return estimate_value_impact(policy, probe, rollout_fn).mean
+    impact_fn = make_impact_fn(quality_pool, probe, scripted_session, rollout_fn)
 
     best, trace = search_optimal_set(s_init, s_cand, impact_fn, m=len(s_cand))
 

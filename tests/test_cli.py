@@ -187,6 +187,31 @@ def test_evaluate_report(tmp_path):
     assert report["n"] == 5
 
 
+def test_evaluate_excludes_dialogues_without_outcome(tmp_path):
+    corpus = simulate_corpus(tmp_path)
+    scored, errored = corpus.read_text(encoding="utf-8").splitlines()[:2]
+    errored = json.loads(errored)
+    del errored["outcome"]
+    errored["error"] = "evaluator: unreachable"
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(scored + "\n" + json.dumps(errored) + "\n", encoding="utf-8")
+    only_scored = tmp_path / "scored.jsonl"
+    only_scored.write_text(scored + "\n", encoding="utf-8")
+
+    report_path = tmp_path / "report.json"
+    assert run(["evaluate", "--in", str(mixed), "--report", str(report_path)]) == 0
+    expected = tmp_path / "expected.json"
+    assert run(["evaluate", "--in", str(only_scored), "--report", str(expected)]) == 0
+    assert report_path.read_bytes() == expected.read_bytes()
+    counts = read_manifest(report_path)["counts"]
+    assert counts == {"dialogues": 1, "excluded": 1, "excluded_ids": [errored["id"]]}
+
+    # With no outcome left to score, evaluate fails.
+    none_scored = tmp_path / "errored.jsonl"
+    none_scored.write_text(json.dumps(errored) + "\n", encoding="utf-8")
+    assert run(["evaluate", "--in", str(none_scored), "--report", str(report_path)]) == 2
+
+
 def test_exit_codes(tmp_path):
     # No subcommand: usage error.
     assert run([]) == 1
@@ -335,6 +360,14 @@ def test_interactive_bare_flag_is_refused(tmp_path, monkeypatch, capsys):
     assert not any(t["text"].startswith("/flag") for t in record["turns"])
     assert "We can offer $48 per unit." in [t["text"] for t in record["turns"]]
     assert capsys.readouterr().out.count("'/flag' needs the line to flag") == 2
+
+
+def test_interactive_needs_no_prompt_templates(tmp_path, monkeypatch):
+    # The scripted remediator renders no prompt, so a --prompts-dir without
+    # templates does not stop a session.
+    monkeypatch.setattr("builtins.input", lambda prompt="": "/quit")
+    out = tmp_path / "session.jsonl"
+    assert run(["--prompts-dir", str(tmp_path), "interactive", "--role", "seller", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -107,7 +107,7 @@ def test_assess_outcome_no_deal(bounds, templates):
     assert out == NegotiationOutcome(deal=False, price=None, trust_delta=0, business_delta=0)
 
 
-def test_assess_outcome_reasks_then_neutral(bounds, templates):
+def test_assess_outcome_asks_once_then_neutral(bounds, templates):
     calls = {"trust": 0}
 
     def replies(prompt):
@@ -119,18 +119,22 @@ def test_assess_outcome_reasks_then_neutral(bounds, templates):
         return "No Change"
 
     out = assess_outcome(sample_dialogue(bounds), make_evaluator(replies), templates)
-    assert calls["trust"] == 2
+    assert calls["trust"] == 1
     assert out.trust_delta == 0
 
 
 def test_assess_outcome_unparseable_deal_treated_as_no_deal(bounds, templates):
+    calls = {"deal": 0}
+
     def replies(prompt):
         if "whether a deal was reached" in prompt:
+            calls["deal"] += 1
             return "perhaps?"
         return "No Change"
 
     out = assess_outcome(sample_dialogue(bounds), make_evaluator(replies), templates)
     assert not out.deal and out.price is None
+    assert calls["deal"] == 1
 
 
 def test_assess_outcome_rejects_scripted_evaluator(bounds, templates, scripted_session):

@@ -44,14 +44,6 @@ def test_scripted_quality_aggregation(scripted_session):
     assert unlabeled.scripted_quality() == pytest.approx((SILVER_SCRIPTED_QUALITY + 0.9) / 2)
 
 
-def test_exemplar_set_property(scripted_session):
-    policy = RemediationPolicy(
-        exemplars=(make_exemplar("a", 0.9), make_exemplar("b", 0.3)),
-        backend=scripted_session,
-    )
-    assert policy.exemplar_set.members == ("a", "b")
-
-
 def test_scripted_remediation_carries_quality(scripted_session):
     policy = RemediationPolicy(exemplars=(make_exemplar("a", 0.8),), backend=scripted_session)
     text = remediate(policy, (), "Take it or leave it!")

@@ -1,4 +1,4 @@
-"""Hashed-ngram embedder, random/retrieval selection, and critic augmentation."""
+"""Hashed-ngram embedder and random/retrieval selection."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from negotia.backends import BackendSession, NetworkError
-from negotia.core import Dialogue, Speaker, Topic, Turn
 from negotia.selectors import (
     HashedNgramEmbedder,
     exemplar_text,
-    rlnl_augment,
     select_random,
     select_retrieval,
 )
@@ -134,73 +131,3 @@ def test_select_retrieval_tie_break_by_id():
 def test_select_retrieval_pool_too_small(quality_pool):
     with pytest.raises(ValueError):
         select_retrieval(quality_pool, "q", 99, HashedNgramEmbedder())
-
-
-# ---------------------------------------------------------------------------
-# Critic augmentation
-
-
-def finished_dialogue(bounds, exemplar):
-    return Dialogue(
-        id="f",
-        topic=Topic.PRODUCT_SALE,
-        bounds=bounds,
-        turns=(
-            Turn(speaker=Speaker.BUYER, text="hello"),
-            Turn(
-                speaker=Speaker.SELLER,
-                text=exemplar.remediation_text,
-                violation=True,
-                original_text=exemplar.violation_text,
-            ),
-        ),
-    )
-
-
-def critic_session(transport):
-    return BackendSession(
-        kind="remote", endpoint="http://example.invalid/v1", model_name="m",
-        backoff_base=0.0, transport=transport,
-    )
-
-
-def test_rlnl_augment_sets_rationale(bounds, templates):
-    e = make_exemplar("a", 0.5)
-
-    def transport(body):
-        return {"choices": [{"finish_reason": "stop", "message": {"content": "It stays polite."}}]}
-
-    out = rlnl_augment(finished_dialogue(bounds, e), e, critic_session(transport), templates)
-    assert out.rationale == "It stays polite."
-    assert e.rationale is None  # input untouched
-
-    # A second augmentation overwrites the rationale.
-    def transport2(body):
-        return {"choices": [{"finish_reason": "stop", "message": {"content": "Fresh summary."}}]}
-
-    again = rlnl_augment(finished_dialogue(bounds, e), out, critic_session(transport2), templates)
-    assert again.rationale == "Fresh summary."
-
-
-def test_rlnl_augment_requires_matching_dialogue(bounds, templates):
-    e = make_exemplar("a", 0.5)
-    mismatch = Dialogue(
-        id="f", topic=Topic.PRODUCT_SALE, bounds=bounds,
-        turns=(Turn(speaker=Speaker.BUYER, text="hello"),),
-    )
-    with pytest.raises(ValueError, match="does not contain"):
-        rlnl_augment(mismatch, e, critic_session(lambda b: None), templates)
-
-
-def test_rlnl_augment_failure_leaves_exemplar(bounds, templates):
-    e = make_exemplar("a", 0.5)
-
-    def dead(body):
-        raise NetworkError("down")
-
-    session = BackendSession(
-        kind="remote", endpoint="http://example.invalid/v1", model_name="m",
-        retries=0, backoff_base=0.0, transport=dead,
-    )
-    out = rlnl_augment(finished_dialogue(bounds, e), e, session, templates)
-    assert out == e

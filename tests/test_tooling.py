@@ -1,9 +1,11 @@
-"""Checks over the source tree: the names the benchmark's tracer wraps must
-stay, and no handler may catch every exception."""
+"""Checks over the source tree: the names the benchmark's tracer wraps and
+the library calls the benchmark makes must stay, and no handler may catch
+every exception."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +30,36 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert cli._COMMANDS is commands
     assert simulation.continue_rollout is continue_rollout
+
+
+def test_benchmark_library_calls(monkeypatch, tmp_path):
+    # The benchmark calls these library functions directly, with these
+    # signatures; a change that breaks them would fail every workload.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import stub
+
+    from negotia import backends, prompts, simulation
+
+    remediate = importlib.import_module("negotia.remediate")  # the package re-exports the function
+
+    pool = inputs._scripted_pool(0, "t", 4)
+    assert len(pool) >= 4
+
+    # One remote dialogue, called as the remote_cached workload calls it.
+    templates = prompts.TemplateStore()
+    session = backends.BackendSession(
+        kind="remote", endpoint="http://stub.invalid/v1", model_name="stub",
+        cache_dir=tmp_path, backoff_base=0.0, transport=stub.StubTransport("t"),
+    )
+    policy = remediate.RemediationPolicy(exemplars=(), backend=session)
+    config = simulation.SimulationConfig(p_c=inputs.P_C, remediation_enabled=True, max_turns=20, seed=1)
+    dialogue = simulation.simulate(
+        session, session, session, config, templates,
+        remediator=lambda history, text: remediate.remediate(policy, history, text, templates),
+        evaluator=session, bounds=inputs.BOUNDS, dialogue_id="remote-0",
+    )
+    assert dialogue.error is None and dialogue.outcome is not None
 
 
 def _catch_all_handlers(source: str) -> list[int]:

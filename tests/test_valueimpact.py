@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -12,6 +12,7 @@ from negotia.simulation import SimulationConfig
 from negotia.valueimpact import (
     build_probe_set,
     estimate_value_impact,
+    make_impact_fn,
     rank_individuals,
     value_of_remediation,
 )
@@ -25,39 +26,45 @@ def test_build_probe_set_shape(probe):
         assert p.prefix
         assert "unreasonable" in p.violation_text
         assert remediation_quality(p.silver_y) == SILVER_SCRIPTED_QUALITY
-        assert p.silver_reward is None or isinstance(p.silver_reward, float)
+        assert isinstance(p.silver_reward, float)
 
 
 def test_build_probe_set_distinct_seeds(probe):
     assert len({p.seed for p in probe}) == len(probe)
 
 
-def test_build_probe_set_rejects_bad_args(world, scripted_session):
+def test_build_probe_set_rejects_bad_args(world, scripted_session, rollout_fn):
     silver = RemediationPolicy(exemplars=(), backend=scripted_session)
     with pytest.raises(ValueError):
-        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 0, silver)
+        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 0, silver, rollout_fn)
     loaded = RemediationPolicy(exemplars=(make_exemplar("a", 0.5),), backend=scripted_session)
     with pytest.raises(ValueError, match="zero-shot"):
-        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 2, loaded)
+        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 2, loaded, rollout_fn)
 
 
-def test_build_probe_set_exhausts_retry_budget(world, scripted_session):
+def test_build_probe_set_exhausts_retry_budget(world, scripted_session, rollout_fn):
     silver = RemediationPolicy(exemplars=(), backend=scripted_session)
     # p_c=0 can never produce a violation, so regeneration must give up.
     with pytest.raises(RuntimeError, match="regenerations"):
-        build_probe_set(world, SimulationConfig(p_c=0.0, seed=1), 1, silver)
+        build_probe_set(world, SimulationConfig(p_c=0.0, seed=1), 1, silver, rollout_fn)
+
+
+def test_build_probe_set_propagates_silver_rollout_errors(world, scripted_session):
+    def dead(point, rewrite):
+        raise RuntimeError("bad point")
+
+    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
+    with pytest.raises(RuntimeError, match="bad point"):
+        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 2, silver, dead)
 
 
 def test_value_identity_and_caching(probe, rollout_fn):
-    # Fresh copy: the session-scoped probe may already carry a cached reward.
-    point = replace(probe[0], silver_reward=None)
-    assert point.silver_reward is None
+    point = probe[0]
+    # The silver reward is the silver rewrite's own rollout, fixed in the point.
+    assert point.silver_reward == rollout_fn(point, point.silver_y)
     assert value_of_remediation(point, point.silver_y, rollout_fn) == 0.0
-    cached = point.silver_reward
-    assert cached is not None
-    # A second call reuses the cached silver reward.
-    value_of_remediation(point, scripted_remediation_text(0.9), rollout_fn)
-    assert point.silver_reward == cached
+    with pytest.raises(FrozenInstanceError):
+        point.silver_reward = 0.0
 
 
 def test_value_sign_tracks_quality(probe, rollout_fn):
@@ -82,7 +89,7 @@ def test_estimate_value_impact_empty_probe(scripted_session, rollout_fn):
 
 @pytest.mark.parametrize(
     "failing_call",
-    [pytest.param(1, id="first-silver-rollout"), pytest.param(6, id="third-candidate-rollout")],
+    [pytest.param(1, id="first-candidate-rollout"), pytest.param(3, id="third-candidate-rollout")],
 )
 def test_estimate_value_impact_propagates_point_errors(
     quality_pool, scripted_session, probe, rollout_fn, failing_call
@@ -97,10 +104,9 @@ def test_estimate_value_impact_propagates_point_errors(
             raise RuntimeError("bad point")
         return rollout_fn(point, rewrite)
 
-    fresh = [replace(p, silver_reward=None) for p in probe]
     policy = RemediationPolicy(exemplars=(quality_pool[0],), backend=scripted_session)
     with pytest.raises(RuntimeError, match="bad point"):
-        estimate_value_impact(policy, fresh, flaky)
+        estimate_value_impact(policy, probe, flaky)
     assert calls["n"] == failing_call
 
 
@@ -115,20 +121,23 @@ def test_estimate_value_impact_all_failed(scripted_session, probe):
         estimate_value_impact(policy, probe, dead)
 
 
-def test_rank_individuals_orders_by_impact(quality_pool, scripted_session, probe, rollout_fn):
-    ranked = rank_individuals(
-        quality_pool, len(quality_pool), probe, scripted_session, rollout_fn, sample_seed=0
-    )
+@pytest.fixture
+def impact_fn(quality_pool, scripted_session, probe, rollout_fn):
+    return make_impact_fn(quality_pool, probe, scripted_session, rollout_fn)
+
+
+def test_rank_individuals_orders_by_impact(quality_pool, impact_fn):
+    ranked = rank_individuals(quality_pool, len(quality_pool), impact_fn, sample_seed=0)
     assert [eid for eid, _v in ranked] == [f"ex-{q}" for q in (0.9, 0.8, 0.7, 0.3, 0.2, 0.1)]
     impacts = [v for _eid, v in ranked]
     assert impacts == sorted(impacts, reverse=True)
 
 
-def test_rank_individuals_sampling_is_seeded(quality_pool, scripted_session, probe, rollout_fn):
-    a = rank_individuals(quality_pool, 3, probe, scripted_session, rollout_fn, sample_seed=5)
-    b = rank_individuals(quality_pool, 3, probe, scripted_session, rollout_fn, sample_seed=5)
+def test_rank_individuals_sampling_is_seeded(quality_pool, impact_fn):
+    a = rank_individuals(quality_pool, 3, impact_fn, sample_seed=5)
+    b = rank_individuals(quality_pool, 3, impact_fn, sample_seed=5)
     assert a == b
     with pytest.raises(ValueError):
-        rank_individuals(quality_pool, 99, probe, scripted_session, rollout_fn)
+        rank_individuals(quality_pool, 99, impact_fn)
     with pytest.raises(ValueError):
-        rank_individuals([], 1, probe, scripted_session, rollout_fn)
+        rank_individuals([], 1, impact_fn)
