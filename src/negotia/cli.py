@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -25,12 +25,12 @@ from .core import (
     PriceBounds,
     Speaker,
     Turn,
+    dialogue_to_obj,
     dump_dialogues,
     dump_exemplars,
     load_dialogues,
     load_exemplars,
-    _dialogue_to_obj,
-    _turn_from_obj,
+    turns_from_objs,
 )
 from .outcome import RewardWeights, evaluate_corpus
 from .prompts import TemplateStore
@@ -102,19 +102,18 @@ def _setting(args: argparse.Namespace, cfg: dict, name: str, default):
 
 
 def _scripted_world(cfg: dict) -> ScriptedWorld:
-    w = cfg.get("world", {})
-    bounds = w.get("bounds", {})
-    return ScriptedWorld(
-        bounds=PriceBounds(
-            cost_price=int(bounds.get("cost_price", DEFAULT_BOUNDS.cost_price)),
-            seller_init=int(bounds.get("seller_init", DEFAULT_BOUNDS.seller_init)),
-            buyer_init=int(bounds.get("buyer_init", DEFAULT_BOUNDS.buyer_init)),
-        ),
-        concession_buyer=float(w.get("concession_buyer", 0.3)),
-        concession_seller=float(w.get("concession_seller", 0.3)),
-        goodwill=float(w.get("goodwill", 2.0)),
-        max_rounds=int(w.get("max_rounds", 12)),
-        close_tolerance=int(w.get("close_tolerance", 50)),
+    """The config's "world" over ScriptedWorld's defaults; an unknown key is a usage error."""
+    w = dict(cfg.get("world", {}))
+    bounds = w.pop("bounds", {})
+    default = ScriptedWorld(bounds=DEFAULT_BOUNDS)
+    for section, given, base in (("world", w, default), ("world.bounds", bounds, DEFAULT_BOUNDS)):
+        unknown = sorted(set(given) - {f.name for f in fields(base)})
+        if unknown:
+            raise UsageError(f"unknown {section} key: {', '.join(unknown)}")
+    return replace(
+        default,
+        bounds=replace(DEFAULT_BOUNDS, **{k: int(v) for k, v in bounds.items()}),
+        **{k: type(getattr(default, k))(v) for k, v in w.items()},
     )
 
 
@@ -272,8 +271,7 @@ def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
     else:  # retrieval; argparse admits no other strategy
         if not args.query:
             raise UsageError("retrieval strategy requires --query")
-        query_obj = json.loads(Path(args.query).read_text(encoding="utf-8"))
-        query_text = query_obj["text"] if "text" in query_obj else query_obj["query"]
+        query_text = json.loads(Path(args.query).read_text(encoding="utf-8"))["text"]
         chosen = select_retrieval(pool, query_text, k, HashedNgramEmbedder())
     out = _write_json(args.out, {"members": list(chosen.members)})
     snapshot = {"strategy": args.strategy, "k": k, "seed": seed}
@@ -283,7 +281,7 @@ def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
 def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> None:
     exemplars = _load_set(args.pool, args.set)
     query = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    history = tuple(_turn_from_obj(t) for t in query.get("history", []))
+    history = turns_from_objs(query.get("history", []))
     policy = RemediationPolicy(exemplars=exemplars, backend=_backend_session(args, cfg))
     print(remediate(policy, history, query["violation_text"], _templates(args)))
 
@@ -356,7 +354,7 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
         print(f"acceptance rate: {accepted}/{flags} = {accepted / flags:.2f}")
 
     out = Path(args.out)
-    record = _dialogue_to_obj(d)
+    record = dialogue_to_obj(d)
     record["interactive_choices"] = choices
     out.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
     snapshot = {"role": role.value, "world": asdict(world)}

@@ -8,10 +8,10 @@ safe to share between workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 __all__ = [
     "Speaker",
@@ -24,6 +24,8 @@ __all__ = [
     "ExemplarSet",
     "CorpusError",
     "validate_dialogue",
+    "turns_from_objs",
+    "dialogue_to_obj",
     "load_dialogues",
     "dump_dialogues",
     "load_exemplars",
@@ -149,33 +151,35 @@ def format_money(minor_units: int) -> str:
 # Validation
 
 
-def _speakers_alternate(turns: Iterable[Turn]) -> bool:
-    prev = None
-    for t in turns:
-        if prev is not None and t.speaker == prev:
-            return False
-        prev = t.speaker
-    return True
-
-
-def validate_dialogue(d: Dialogue) -> list[str]:
-    """Return a list of invariant violations; empty means the dialogue is ok."""
+def _turn_problems(turns: tuple[Turn, ...]) -> list[str]:
+    """The rules every stored run of turns obeys: dialogues and histories alike."""
     problems: list[str] = []
-    for i, t in enumerate(d.turns):
+    prev = None
+    for i, t in enumerate(turns):
         if not t.text:
             problems.append(f"turn {i}: empty text")
         if t.original_text is not None and not t.violation:
             problems.append(f"turn {i}: original_text present but violation=false")
         if t.violation and t.speaker is not Speaker.SELLER:
             problems.append(f"turn {i}: violation flagged on non-seller turn")
-    if d.turns:
-        if d.turns[0].speaker is not Speaker.BUYER:
-            problems.append("turn 0: dialogue must open with the buyer")
-        if len(d.turns) >= 2 and d.turns[1].speaker is not Speaker.SELLER:
-            problems.append("turn 1: second turn must be the seller opener")
-        if not _speakers_alternate(d.turns):
-            problems.append("speakers must strictly alternate")
+        if t.speaker is prev:
+            problems.append(f"turn {i}: speakers must strictly alternate")
+        prev = t.speaker
     return problems
+
+
+def _opener_problems(turns: tuple[Turn, ...]) -> list[str]:
+    problems: list[str] = []
+    if turns and turns[0].speaker is not Speaker.BUYER:
+        problems.append("turn 0: dialogue must open with the buyer")
+    if len(turns) >= 2 and turns[1].speaker is not Speaker.SELLER:
+        problems.append("turn 1: second turn must be the seller opener")
+    return problems
+
+
+def validate_dialogue(d: Dialogue) -> list[str]:
+    """Return a list of invariant violations; empty means the dialogue is ok."""
+    return _turn_problems(d.turns) + _opener_problems(d.turns)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +193,26 @@ def _turn_to_obj(t: Turn) -> dict:
     return obj
 
 
-def _turn_from_obj(obj: dict) -> Turn:
-    return Turn(
-        speaker=Speaker(obj["speaker"]),
-        text=obj["text"],
-        violation=bool(obj.get("violation", False)),
-        original_text=obj.get("original_text"),
+def turns_from_objs(objs: Iterable[dict]) -> tuple[Turn, ...]:
+    """Decode a run of turn records, refusing it (``CorpusError``) unless it
+    obeys the turn rules: no empty text, ``original_text`` only on a
+    violation, violations only on seller turns, alternating speakers."""
+    turns = tuple(
+        Turn(
+            speaker=Speaker(obj["speaker"]),
+            text=obj["text"],
+            violation=bool(obj.get("violation", False)),
+            original_text=obj.get("original_text"),
+        )
+        for obj in objs
     )
+    if problems := _turn_problems(turns):
+        raise CorpusError("; ".join(problems))
+    return turns
 
 
-def _dialogue_to_obj(d: Dialogue) -> dict:
+def dialogue_to_obj(d: Dialogue) -> dict:
+    """The JSON record of a dialogue, as one line of a corpus file holds it."""
     obj: dict = {
         "id": d.id,
         "topic": d.topic.value,
@@ -235,6 +249,9 @@ def _dialogue_from_obj(obj: dict) -> Dialogue:
             business_delta=int(o.get("business_delta", 0)),
         )
     b = obj["bounds"]
+    turns = turns_from_objs(obj["turns"])
+    if problems := _opener_problems(turns):
+        raise CorpusError("; ".join(problems))
     return Dialogue(
         id=obj["id"],
         topic=Topic(obj["topic"]),
@@ -243,42 +260,11 @@ def _dialogue_from_obj(obj: dict) -> Dialogue:
             seller_init=int(b["seller_init"]),
             buyer_init=int(b["buyer_init"]),
         ),
-        turns=tuple(_turn_from_obj(t) for t in obj["turns"]),
+        turns=turns,
         outcome=outcome,
         language=obj.get("language", "en"),
         error=obj.get("error"),
     )
-
-
-def load_dialogues(path: str | Path) -> list[Dialogue]:
-    """Load a JSON-lines dialogue corpus, validating every record."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"no such file: {path}")
-    dialogues: list[Dialogue] = []
-    with path.open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                d = _dialogue_from_obj(obj)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            problems = validate_dialogue(d)
-            if problems:
-                raise CorpusError(f"{path}:{lineno}: dialogue {d.id!r}: " + "; ".join(problems))
-            dialogues.append(d)
-    return dialogues
-
-
-def dump_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
-        for d in dialogues:
-            f.write(json.dumps(_dialogue_to_obj(d), ensure_ascii=False, sort_keys=True))
-            f.write("\n")
 
 
 def _exemplar_to_obj(e: Exemplar) -> dict:
@@ -296,9 +282,11 @@ def _exemplar_to_obj(e: Exemplar) -> dict:
 
 
 def _exemplar_from_obj(obj: dict) -> Exemplar:
+    if not obj["violation_text"] or not obj["remediation_text"]:
+        raise CorpusError("empty text in violation_text or remediation_text")
     return Exemplar(
         id=obj["id"],
-        history=tuple(_turn_from_obj(t) for t in obj["history"]),
+        history=turns_from_objs(obj["history"]),
         violation_text=obj["violation_text"],
         remediation_text=obj["remediation_text"],
         rationale=obj.get("rationale"),
@@ -306,12 +294,15 @@ def _exemplar_from_obj(obj: dict) -> Exemplar:
     )
 
 
-def load_exemplars(path: str | Path) -> list[Exemplar]:
-    """Load a JSON-lines exemplar pool; ids must be unique within the file."""
+Record = TypeVar("Record", Dialogue, Exemplar)
+
+
+def _load_jsonl(path: str | Path, decode: Callable[[dict], Record]) -> list[Record]:
+    """Decode every non-blank line of a JSON-lines file; ids must be unique."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
-    pool: list[Exemplar] = []
+    records: list[Record] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -319,23 +310,38 @@ def load_exemplars(path: str | Path) -> list[Exemplar]:
             if not line:
                 continue
             try:
-                e = _exemplar_from_obj(json.loads(line))
+                record = decode(json.loads(line))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed exemplar: {exc}") from exc
-            if not e.violation_text or not e.remediation_text:
-                raise CorpusError(f"{path}:{lineno}: exemplar {e.id!r} has empty text fields")
-            if not _speakers_alternate(e.history):
-                raise CorpusError(f"{path}:{lineno}: exemplar {e.id!r} history does not alternate")
-            if e.id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate exemplar id {e.id!r}")
-            seen.add(e.id)
-            pool.append(e)
-    return pool
+                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            if record.id in seen:
+                raise CorpusError(f"{path}:{lineno}: duplicate id {record.id!r}")
+            seen.add(record.id)
+            records.append(record)
+    return records
+
+
+def _dump_jsonl(objs: Iterable[dict], path: str | Path) -> None:
+    with Path(path).open("w", encoding="utf-8") as f:
+        for obj in objs:
+            f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+            f.write("\n")
+
+
+def load_dialogues(path: str | Path) -> list[Dialogue]:
+    """Load a JSON-lines dialogue corpus, validating every record."""
+    return _load_jsonl(path, _dialogue_from_obj)
+
+
+def dump_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
+    _dump_jsonl(map(dialogue_to_obj, dialogues), path)
+
+
+def load_exemplars(path: str | Path) -> list[Exemplar]:
+    """Load a JSON-lines exemplar pool, validating every record."""
+    return _load_jsonl(path, _exemplar_from_obj)
 
 
 def dump_exemplars(pool: Iterable[Exemplar], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
-        for e in pool:
-            f.write(json.dumps(_exemplar_to_obj(e), ensure_ascii=False, sort_keys=True))
-            f.write("\n")
+    _dump_jsonl(map(_exemplar_to_obj, pool), path)

@@ -147,8 +147,8 @@ class _RemoteLane:
     """Chat sessions speak; the moderator judges every new utterance.
 
     A seller turn refused by the content filter is recorded as withheld and
-    not judged; any other backend failure, the evaluator's too, ends the
-    dialogue with an error.
+    not judged; any other backend failure, the evaluator's too, or an empty
+    buyer or seller completion ends the dialogue with an error.
     """
 
     def __init__(
@@ -180,6 +180,8 @@ class _RemoteLane:
         msgs = render(self.templates.get(template_id), {**self.prices, "$CONVERSATION": conv})
         try:
             text = chat(self.sessions[role], msgs)
+            if not text:
+                raise BackendError(f"empty {role} completion")
         except ContentFilterError:
             if role == "seller":  # withheld; a refused buyer turn ends the dialogue
                 return None
@@ -365,7 +367,7 @@ def continue_rollout(
     """
     if not remediation:
         raise ValueError("remediation text must be non-empty")
-    replay = SimulationConfig(p_c=config.p_c, max_turns=config.max_turns, seed=point.seed)
+    replay = replace(config, seed=point.seed)
     lane = _ScriptedLane(world, replay.max_turns)
     turns, _ = _rollout(lane, replay, None, forced_remediation=remediation)
     return lane.dialogue(turns, "probe-0")
@@ -392,7 +394,6 @@ def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20)
         if turn is not None and turn.violation:
             if speaker is not _SELLER:
                 raise ValueError("only seller turns can be flagged as violations")
-            lane.seller(turns, True)
             lane.violated(turn.text if turn.original_text is not None else None)
         else:
             # The scripted step moves this side's number; its text is kept

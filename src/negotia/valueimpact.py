@@ -10,7 +10,7 @@ difference isolates the rewrite and the identity case is exactly zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .backends import BackendSession, ScriptedWorld, derive_seed
@@ -95,13 +95,7 @@ def build_probe_set(
         point = None
         for attempt in range(PROBE_RETRY_BUDGET):
             seed = derive_seed(config.seed, "probe", i, attempt)
-            cfg = SimulationConfig(
-                p_c=config.p_c,
-                remediation_enabled=False,
-                max_turns=config.max_turns,
-                seed=seed,
-            )
-            point = rollout_to_first_violation(world, cfg)
+            point = rollout_to_first_violation(world, replace(config, seed=seed))
             if point is not None:
                 break
         if point is None:

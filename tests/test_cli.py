@@ -142,6 +142,15 @@ def test_select_random_and_retrieval(tmp_path):
     assert len(json.loads(out.read_text())["members"]) == 2
 
 
+def test_select_query_file_holds_text(tmp_path, capsys):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8))
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"query": "could you reconsider the price"}), encoding="utf-8")
+    assert run(["select", "--strategy", "retrieval", "--pool", str(pool_path),
+                "--k", "1", "--query", str(query), "--out", str(tmp_path / "set.json")]) == 2
+    assert "'text'" in capsys.readouterr().err
+
+
 def test_select_retrieval_requires_query(tmp_path):
     pool_path = make_pool_file(tmp_path, (0.9, 0.8))
     out = tmp_path / "set.json"
@@ -163,6 +172,20 @@ def test_remediate_command_prints_rewrite(tmp_path, capsys):
     assert "[q=0.9" in printed
     # remediate writes no file, so it leaves no manifest.
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_remediate_refuses_a_history_that_breaks_the_turn_rules(tmp_path, capsys):
+    pool_path = make_pool_file(tmp_path, (0.9,))
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"members": ["ex-0.9"]}), encoding="utf-8")
+    query = tmp_path / "query.json"
+    history = [{"speaker": "buyer", "text": "hello"}, {"speaker": "buyer", "text": ""}]
+    query.write_text(json.dumps({"history": history, "violation_text": "x"}), encoding="utf-8")
+    assert run(["remediate", "--pool", str(pool_path), "--set", str(set_path),
+                "--in", str(query)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "turn 1: empty text" in captured.err and "alternate" in captured.err
 
 
 def test_remediate_unknown_member_is_usage_error(tmp_path):
@@ -288,6 +311,29 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     # n comes from the file, seed from the flag.
     assert manifest["counts"]["rollouts"] == 3
     assert manifest["base_seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "world, key", [({"max_round": 1}, "max_round"), ({"bounds": {"seler_init": 9000}}, "seler_init")]
+)
+def test_unknown_world_key_is_usage_error(tmp_path, capsys, world, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": world}), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(["--config", str(cfg), "simulate", "--n", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+def test_world_config_overrides_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": {"max_rounds": 3, "bounds": {"seller_init": "6000"}}}),
+                   encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(["--config", str(cfg), "simulate", "--n", "1", "--out", str(out)]) == 0
+    world = read_manifest(out)["config"]["world"]
+    assert world["max_rounds"] == 3 and world["goodwill"] == 2.0
+    assert world["bounds"] == {"cost_price": 3500, "seller_init": 6000, "buyer_init": 3000}
 
 
 SESSION_LINES = {

@@ -23,6 +23,7 @@ from negotia.core import (
     format_money,
     load_dialogues,
     load_exemplars,
+    turns_from_objs,
     validate_dialogue,
 )
 
@@ -141,3 +142,45 @@ def test_load_exemplars_rejects_empty_texts(tmp_path):
     )
     with pytest.raises(CorpusError, match="empty text"):
         load_exemplars(path)
+
+
+def test_load_dialogues_rejects_duplicate_ids(tmp_path, bounds):
+    d = make_dialogue([Turn(speaker=Speaker.BUYER, text="hello")], bounds, did="sim-2")
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues([d, d], path)
+    with pytest.raises(CorpusError, match=r":2: duplicate id 'sim-2'"):
+        load_dialogues(path)
+
+
+BROKEN_HISTORIES = {
+    "empty text": [{"speaker": "buyer", "text": ""}],
+    "non-seller": [{"speaker": "buyer", "text": "cheaper!", "violation": True}],
+    "violation=false": [
+        {"speaker": "buyer", "text": "hi"},
+        {"speaker": "seller", "text": "ok", "original_text": "OK!"},
+    ],
+    "alternate": [{"speaker": "buyer", "text": "hi"}, {"speaker": "buyer", "text": "hello?"}],
+}
+
+
+@pytest.mark.parametrize("reason", sorted(BROKEN_HISTORIES))
+def test_exemplar_history_obeys_the_turn_rules(tmp_path, reason):
+    history = BROKEN_HISTORIES[reason]
+    with pytest.raises(CorpusError, match=reason):
+        turns_from_objs(history)
+    path = tmp_path / "pool.jsonl"
+    row = {"id": "x", "history": history, "violation_text": "v", "remediation_text": "r"}
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f":1: .*{reason}"):
+        load_exemplars(path)
+
+
+def test_turns_from_objs_decodes_a_valid_history():
+    objs = [
+        {"speaker": "buyer", "text": "hi"},
+        {"speaker": "seller", "text": "ok", "violation": True, "original_text": "OK!"},
+    ]
+    assert turns_from_objs(objs) == (
+        Turn(speaker=Speaker.BUYER, text="hi"),
+        Turn(speaker=Speaker.SELLER, text="ok", violation=True, original_text="OK!"),
+    )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negotia.backends import BackendSession, NetworkError
-from negotia.core import Speaker, Turn, validate_dialogue
+from negotia.core import Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
 from negotia.simulation import (
     BUYER_OPENER,
     SimulationConfig,
@@ -281,6 +281,25 @@ def test_remote_lane_surfaces_backend_failure(bounds, templates):
     )
     assert d.error is not None
     assert d.outcome is None
+
+
+@pytest.mark.parametrize("role", ["buyer", "seller"])
+def test_remote_lane_empty_completion_ends_the_dialogue(tmp_path, bounds, templates, role):
+    # An empty turn would make the written corpus unreadable; an empty
+    # completion fails its turn as a backend error does.
+    script = [(f"You are a {role}", ""), *REMOTE_SCRIPT]
+    session = remote(scripted_transport(script))
+    d = simulate(
+        session, session, session,
+        SimulationConfig(p_c=0.0, seed=1, max_turns=6),
+        templates, evaluator=session, bounds=bounds,
+    )
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues([d], path)
+    [loaded] = load_dialogues(path)
+    assert loaded.error == f"backend: empty {role} completion"
+    assert loaded.outcome is None
+    assert len(loaded.turns) == (2 if role == "buyer" else 3)
 
 
 def test_remote_lane_requires_bounds_templates_evaluator(templates, bounds):

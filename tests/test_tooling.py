@@ -1,6 +1,6 @@
 """Checks over the source tree: the names the benchmark's tracer wraps and
-the library calls the benchmark makes must stay, and no handler may catch
-every exception."""
+the library calls the benchmark makes must stay, no handler may catch
+every exception, and no module imports a private name of another."""
 
 from __future__ import annotations
 
@@ -88,5 +88,33 @@ def test_no_catch_all_handlers():
         path.name: lines
         for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
         if (lines := _catch_all_handlers(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore names imported from sibling modules (``from .x import _y``)."""
+    return [
+        f"{node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_import_detector():
+    assert _private_imports("from .core import Turn, _turn_to_obj\n") == ["core._turn_to_obj"]
+    assert _private_imports("from . import _x\n") == ["._x"]
+    assert _private_imports("from .core import Turn\nfrom os import _exit\n") == []
+
+
+def test_no_private_imports_between_modules():
+    # The file formats live behind core's public names; a module that
+    # reached past them would have to change with every format change.
+    found = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (names := _private_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
