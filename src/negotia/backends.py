@@ -190,21 +190,20 @@ class ScriptedWorld:
     Goodwill starts at 2 and scales the buyer's concession speed through
     goodwill_factor = max(g, 0) / 2. A violation costs one point of goodwill;
     a remediation of quality q restores q, so the oracle's reward is
-    continuous in remediation quality and value comparisons are strict.
+    continuous in remediation quality and value comparisons are strict. The
+    bargain closes once the gap is within close_tolerance, and ends without
+    a deal once goodwill is spent.
     """
 
     bounds: PriceBounds
     concession_buyer: float = 0.3
     concession_seller: float = 0.3
     goodwill: float = 2.0
-    max_rounds: int = 12
     close_tolerance: int = 50
 
     def __post_init__(self) -> None:
         if not (0.0 < self.concession_buyer < 1.0 and 0.0 < self.concession_seller < 1.0):
             raise ValueError("concession rates must lie in (0, 1)")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
 
 
 @dataclass
@@ -214,10 +213,8 @@ class BargainState:
     bid: float
     ask: float
     goodwill: float
-    round: int = 0
     terminal: bool = False
     deal: bool = False
-    walk_away: bool = False
     pending_ask: Optional[float] = None
     remediation_qualities: list[float] = field(default_factory=list)
     unremediated_violations: int = 0
@@ -269,7 +266,8 @@ def scripted_step(
     and ask are computed together at the buyer call, from the previous
     round's numbers, so both move simultaneously. A seller violation
     decrements goodwill by one; an accompanying remediation restores its
-    parsed quality.
+    parsed quality. The seller call ends the bargain: with a deal when the
+    gap has closed, without one when goodwill is spent.
     """
     if state.terminal:
         raise BackendError("scripted world stepped after terminal state")
@@ -279,7 +277,6 @@ def scripted_step(
         factor = max(state.goodwill, 0.0) / 2.0
         state.bid += world.concession_buyer * gap * factor
         state.pending_ask = state.ask - world.concession_seller * gap
-        state.round += 1
         return (
             f"Would you consider selling at {format_money(round(state.bid))} per unit? "
             "That price would work well for us."
@@ -308,31 +305,17 @@ def scripted_step(
         )
 
     # Close rule, evaluated after the seller's number lands.
-    if state.ask - state.bid <= world.close_tolerance or state.bid >= state.ask:
-        state.terminal = True
-        state.deal = True
+    state.deal = state.ask - state.bid <= world.close_tolerance or state.bid >= state.ask
+    state.terminal = state.deal or state.goodwill <= 0.0
     return text
 
 
-def check_round_boundary(world: ScriptedWorld, state: BargainState) -> None:
-    """Apply the walk-away rules between rounds."""
-    if state.terminal:
-        return
-    if state.goodwill <= 0.0 or state.round >= world.max_rounds:
-        state.terminal = True
-        state.deal = False
-        state.walk_away = True
-
-
 def scripted_outcome(world: ScriptedWorld, state: BargainState) -> NegotiationOutcome:
-    """Assess a terminal bargain state.
+    """Assess a bargain state; one that never closed has no deal.
 
     Unremediated violations count as quality 0 in the mean; a dialogue with
     no violations at all is treated as mean quality 1 (vacuous mean).
     """
-    if not state.terminal:
-        raise BackendError("scripted outcome requires a terminal state")
-
     qualities = list(state.remediation_qualities) + [0.0] * state.unremediated_violations
     mean_q = sum(qualities) / len(qualities) if qualities else 1.0
 

@@ -33,7 +33,7 @@ from .core import (
     turns_from_objs,
 )
 from .outcome import RewardWeights, evaluate_corpus
-from .prompts import TemplateStore
+from .prompts import TemplateError, TemplateStore
 from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import ImpactFn, search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
@@ -84,13 +84,26 @@ def _write_json(path: str, obj) -> Path:
     return out
 
 
+def _read_object(path: str, **required: type) -> dict:
+    """A JSON file holding one object whose named keys have the given types."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{path}: expected a JSON object")
+    for key, kind in required.items():
+        if not isinstance(obj.get(key), kind):
+            raise CorpusError(f"{path}: {key!r} must be a JSON {'array' if kind is list else 'string'}")
+    return obj
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise UsageError(f"config file not found: {path}")
-    return json.loads(p.read_text(encoding="utf-8"))
+    return _read_object(path)
 
 
 def _setting(args: argparse.Namespace, cfg: dict, name: str, default):
@@ -117,34 +130,37 @@ def _scripted_world(cfg: dict) -> ScriptedWorld:
     )
 
 
-def _templates(args: argparse.Namespace) -> TemplateStore:
-    return TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
-
-
-def _backend_session(args: argparse.Namespace, cfg: dict) -> BackendSession:
+def _backend_session(args: argparse.Namespace, cfg: dict) -> tuple[BackendSession, Optional[TemplateStore]]:
+    """The agents' session, and the prompt templates only a remote one renders."""
     if _setting(args, cfg, "backend", "scripted") == "scripted":
-        return BackendSession(kind="scripted")
+        return BackendSession(kind="scripted"), None
     api_base = _setting(args, cfg, "api_base", None)
     model = _setting(args, cfg, "model", None)
     if not api_base or not model:
         raise UsageError("remote backend requires --api-base and --model")
     cache_dir = _setting(args, cfg, "cache_dir", None)
-    return BackendSession(
+    session = BackendSession(
         kind="remote",
         endpoint=api_base,
         model_name=model,
         cache_dir=Path(cache_dir) if cache_dir else None,
     )
+    return session, TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
+
+
+def _from_pool(pool: list[Exemplar], ids: list, what: str) -> tuple[Exemplar, ...]:
+    """The exemplars the ids name, in their order; an id not in the pool is a usage error."""
+    by_id = {e.id: e for e in pool}
+    missing = [str(i) for i in ids if not isinstance(i, str) or i not in by_id]
+    if missing:
+        raise UsageError(f"{what} not in pool: {', '.join(missing)}")
+    return tuple(by_id[i] for i in ids)
 
 
 def _load_set(pool_path: str, set_path: str) -> tuple[Exemplar, ...]:
     """The exemplars a set file names, in its order, looked up in a pool file."""
-    by_id = {e.id: e for e in load_exemplars(pool_path)}
-    member_ids = json.loads(Path(set_path).read_text(encoding="utf-8"))["members"]
-    missing = [m for m in member_ids if m not in by_id]
-    if missing:
-        raise UsageError(f"set members not in pool: {', '.join(missing)}")
-    return tuple(by_id[m] for m in member_ids)
+    members = _read_object(set_path, members=list)["members"]
+    return _from_pool(load_exemplars(pool_path), members, "set members")
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +176,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
     out = Path(args.out)
 
     world = _scripted_world(cfg)
-    templates = _templates(args)
-    session = _backend_session(args, cfg)
+    session, templates = _backend_session(args, cfg)
 
     remediator = None
     if remediation:
@@ -207,8 +222,8 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
 
 def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> Written:
     corpus = load_dialogues(args.infile)
-    session = _backend_session(args, cfg)
-    pool = silver_annotate(corpus, session, _templates(args))
+    session, templates = _backend_session(args, cfg)
+    pool = silver_annotate(corpus, session, templates)
     out = Path(args.out)
     dump_exemplars(pool, out)
     snapshot = {"backend": session.kind, "in": args.infile}
@@ -245,6 +260,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
     pool = load_exemplars(args.pool)
     ranked_objs = json.loads(Path(args.ranked).read_text(encoding="utf-8"))
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
+    _from_pool(pool, [eid for eid, _ in ranked], "ranked ids")
     s_init, s_cand = split_candidates(ranked, k)
 
     impact_fn, probe_size = _impact_fn(args, cfg, seed, pool)
@@ -271,7 +287,7 @@ def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
     else:  # retrieval; argparse admits no other strategy
         if not args.query:
             raise UsageError("retrieval strategy requires --query")
-        query_text = json.loads(Path(args.query).read_text(encoding="utf-8"))["text"]
+        query_text = _read_object(args.query, text=str)["text"]
         chosen = select_retrieval(pool, query_text, k, HashedNgramEmbedder())
     out = _write_json(args.out, {"members": list(chosen.members)})
     snapshot = {"strategy": args.strategy, "k": k, "seed": seed}
@@ -280,10 +296,11 @@ def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
 
 def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> None:
     exemplars = _load_set(args.pool, args.set)
-    query = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    history = turns_from_objs(query.get("history", []))
-    policy = RemediationPolicy(exemplars=exemplars, backend=_backend_session(args, cfg))
-    print(remediate(policy, history, query["violation_text"], _templates(args)))
+    query = _read_object(args.infile, history=list, violation_text=str)
+    history = turns_from_objs(query["history"])
+    session, templates = _backend_session(args, cfg)
+    policy = RemediationPolicy(exemplars=exemplars, backend=session)
+    print(remediate(policy, history, query["violation_text"], templates))
 
 
 def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> Written:
@@ -460,7 +477,9 @@ def run(argv: list[str]) -> int:
         if written is not None:
             _write_manifest(args.command, started, written)
         return 0
-    except (UsageError, CorpusError, BackendError, OSError, RuntimeError, ValueError, KeyError) as exc:
+    except (
+        UsageError, CorpusError, BackendError, TemplateError, OSError, RuntimeError, ValueError, KeyError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 

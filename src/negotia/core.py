@@ -193,10 +193,13 @@ def _turn_to_obj(t: Turn) -> dict:
     return obj
 
 
-def turns_from_objs(objs: Iterable[dict]) -> tuple[Turn, ...]:
+def turns_from_objs(objs: list[dict]) -> tuple[Turn, ...]:
     """Decode a run of turn records, refusing it (``CorpusError``) unless it
-    obeys the turn rules: no empty text, ``original_text`` only on a
-    violation, violations only on seller turns, alternating speakers."""
+    is a list of objects that obeys the turn rules: no empty text,
+    ``original_text`` only on a violation, violations only on seller turns,
+    alternating speakers."""
+    if not all(isinstance(obj, dict) for obj in objs):
+        raise CorpusError("every turn must be a JSON object")
     turns = tuple(
         Turn(
             speaker=Speaker(obj["speaker"]),

@@ -55,8 +55,6 @@ class PruningEvent:
 class SearchTrace:
     evaluations: list[Evaluation] = field(default_factory=list)
     pruning_events: list[PruningEvent] = field(default_factory=list)
-    best_members: tuple[str, ...] = ()
-    best_impact: float = float("-inf")
 
 
 def split_candidates(
@@ -103,8 +101,7 @@ def search_optimal_set(
     root = tuple(s_init)
     root_impact = impact_of(root)
     trace.evaluations.append(Evaluation(members=root, impact=root_impact, parent=None, delta=0.0))
-    trace.best_members = root
-    trace.best_impact = root_impact
+    best = ExemplarSet(members=root, value_impact=root_impact)
 
     queue: deque[SearchNode] = deque([SearchNode(members=root, replace_index=0, impact=root_impact)])
     while queue:
@@ -139,11 +136,8 @@ def search_optimal_set(
                     SearchNode(members=child, replace_index=node.replace_index + 1, impact=child_impact)
                 )
                 failures = 0
-                if child_impact > trace.best_impact:
-                    trace.best_members = child
-                    trace.best_impact = child_impact
+                if child_impact > best.value_impact:
+                    best = ExemplarSet(members=child, value_impact=child_impact)
             else:
                 failures += 1
-
-    best = ExemplarSet(members=trace.best_members, value_impact=trace.best_impact)
     return best, trace

@@ -20,7 +20,6 @@ from .backends import (
     ContentFilterError,
     ScriptedWorld,
     chat,
-    check_round_boundary,
     scripted_outcome,
     scripted_step,
     scripted_violation_text,
@@ -132,13 +131,10 @@ class _ScriptedLane:
         scripted_step(self.world, self.state, "seller", violation=True, remediation=rewrite)
 
     def done(self, turns: list[Turn]) -> bool:
-        if turns[-1].speaker is _SELLER:
-            check_round_boundary(self.world, self.state)
         return self.state.terminal or len(turns) >= self.max_turns
 
     def dialogue(self, turns: list[Turn], dialogue_id: str) -> Dialogue:
         # A bargain still open at the turn cap, or left by a player, ends without a deal.
-        self.state.terminal = True
         outcome = scripted_outcome(self.world, self.state)
         return Dialogue(id=dialogue_id, topic=_TOPIC, bounds=self.bounds, turns=tuple(turns), outcome=outcome)
 

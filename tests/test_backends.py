@@ -15,14 +15,13 @@ from negotia.backends import (
     NetworkError,
     ScriptedWorld,
     chat,
-    check_round_boundary,
     derive_seed,
     remediation_quality,
     scripted_outcome,
     scripted_remediation_text,
     scripted_step,
 )
-from negotia.core import PriceBounds
+from negotia.core import NegotiationOutcome, PriceBounds
 
 
 def ok_response(content: str) -> dict:
@@ -294,13 +293,15 @@ def test_scripted_walk_away_after_unremediated_violations():
         concession_seller=0.2,
     )
     state = BargainState.initial(world)
-    for _round in range(2):
-        check_round_boundary(world, state)
-        assert not state.terminal
+    scripted_step(world, state, "buyer")
+    scripted_step(world, state, "seller", violation=True)
+    assert not state.terminal
+    scripted_step(world, state, "buyer")
+    # The seller step that spends the last goodwill ends the bargain itself.
+    scripted_step(world, state, "seller", violation=True)
+    assert state.terminal and not state.deal
+    with pytest.raises(BackendError):
         scripted_step(world, state, "buyer")
-        scripted_step(world, state, "seller", violation=True)
-    check_round_boundary(world, state)
-    assert state.terminal and state.walk_away and not state.deal
     outcome = scripted_outcome(world, state)
     assert outcome == scripted_outcome(world, state)
     assert not outcome.deal
@@ -323,12 +324,19 @@ def test_step_after_terminal_raises():
     state.terminal = True
     with pytest.raises(BackendError):
         scripted_step(world, state, "buyer")
-    with pytest.raises(BackendError):
-        scripted_outcome(world, BargainState.initial(world))
+
+
+def test_open_bargain_has_no_deal():
+    world = ScriptedWorld(bounds=PriceBounds(cost_price=3000, seller_init=5000, buyer_init=3000))
+    state = BargainState.initial(world)
+    scripted_step(world, state, "buyer")
+    scripted_step(world, state, "seller")
+    assert not state.terminal
+    assert scripted_outcome(world, state) == NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1)
 
 
 def test_world_parameter_validation(bounds):
     with pytest.raises(ValueError):
         ScriptedWorld(bounds=bounds, concession_buyer=1.5)
     with pytest.raises(ValueError):
-        ScriptedWorld(bounds=bounds, max_rounds=0)
+        ScriptedWorld(bounds=bounds, concession_seller=0.0)

@@ -198,6 +198,78 @@ def test_remediate_unknown_member_is_usage_error(tmp_path):
                 "--in", str(query)]) == 1
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("query", []),
+        ("query", {"history": ["hello"], "violation_text": "x"}),
+        ("query", {"histry": [], "violation_text": "x"}),
+        ("query", {"history": [], "violation_text": 5}),
+        ("set", ["ex-0.9"]),
+        ("config", [1]),
+        ("text", ["could you reconsider the price"]),
+        ("text", {"text": 5}),
+        ("config", "{not json"),
+    ],
+    ids=["query-list", "history-of-strings", "misspelt-history", "violation-not-string",
+         "set-list", "config-list", "text-list", "text-not-string", "config-not-json"],
+)
+def test_malformed_json_input_is_refused(tmp_path, capsys, name, content):
+    pool_path = make_pool_file(tmp_path, (0.9,))
+    files = {
+        "query": {"history": [], "violation_text": "x"},
+        "set": {"members": ["ex-0.9"]},
+        "config": {},
+        "text": {"text": "could you reconsider the price"},
+        name: content,
+    }
+    paths = {}
+    for key, obj in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        Path(paths[key]).write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
+    if name == "text":
+        argv = ["select", "--strategy", "retrieval", "--pool", str(pool_path), "--k", "1",
+                "--query", paths["text"], "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["remediate", "--pool", str(pool_path), "--set", paths["set"], "--in", paths["query"]]
+    assert run(["--config", paths["config"], *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_scripted_commands_need_no_prompt_templates(tmp_path, capsys):
+    corpus = simulate_corpus(tmp_path, extra=["--p-c", "0.9"])
+    pool_path = make_pool_file(tmp_path, (0.9,))
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"members": ["ex-0.9"]}), encoding="utf-8")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"history": [], "violation_text": "x"}), encoding="utf-8")
+    empty = tmp_path / "no-templates"
+    empty.mkdir()
+    prompts = ["--prompts-dir", str(empty)]
+    assert run([*prompts, "simulate", "--n", "2", "--p-c", "0.9", "--remediate", "on",
+                "--out", str(tmp_path / "c.jsonl")]) == 0
+    assert run([*prompts, "annotate", "--in", str(corpus), "--out", str(tmp_path / "p.jsonl")]) == 0
+    assert run([*prompts, "remediate", "--pool", str(pool_path), "--set", str(set_path),
+                "--in", str(query)]) == 0
+    capsys.readouterr()
+    # A remote session renders them, so it is refused before any request.
+    assert run([*prompts, "--api-base", "http://example.invalid/v1", "--model", "m", "simulate",
+                "--backend", "remote", "--n", "1", "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: missing template file")
+
+
+def test_search_refuses_ranked_ids_not_in_pool(tmp_path, capsys):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
+    ranked = tmp_path / "ranked.json"
+    ids = ["ex-0.9", "nope", "ex-0.8", "gone"]
+    ranked.write_text(json.dumps([{"id": eid, "value_impact": 0.0} for eid in ids]), encoding="utf-8")
+    assert run(["search", "--ranked", str(ranked), "--pool", str(pool_path), "--k", "2",
+                "--probe-size", "2", "--out", str(tmp_path / "best.json")]) == 1
+    assert capsys.readouterr().err == "error: ranked ids not in pool: nope, gone\n"
+
+
 def test_evaluate_report(tmp_path):
     corpus = simulate_corpus(tmp_path)
     report_path = tmp_path / "report.json"
@@ -314,7 +386,13 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "world, key", [({"max_round": 1}, "max_round"), ({"bounds": {"seler_init": 9000}}, "seler_init")]
+    "world, key",
+    [
+        ({"max_round": 1}, "max_round"),
+        ({"bounds": {"seler_init": 9000}}, "seler_init"),
+        # The turn cap is the top-level max_turns; the world has no round cap.
+        ({"max_rounds": 3}, "max_rounds"),
+    ],
 )
 def test_unknown_world_key_is_usage_error(tmp_path, capsys, world, key):
     cfg = tmp_path / "cfg.json"
@@ -327,12 +405,12 @@ def test_unknown_world_key_is_usage_error(tmp_path, capsys, world, key):
 
 def test_world_config_overrides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"world": {"max_rounds": 3, "bounds": {"seller_init": "6000"}}}),
+    cfg.write_text(json.dumps({"world": {"close_tolerance": 80, "bounds": {"seller_init": "6000"}}}),
                    encoding="utf-8")
     out = tmp_path / "c.jsonl"
     assert run(["--config", str(cfg), "simulate", "--n", "1", "--out", str(out)]) == 0
     world = read_manifest(out)["config"]["world"]
-    assert world["max_rounds"] == 3 and world["goodwill"] == 2.0
+    assert world["close_tolerance"] == 80 and world["goodwill"] == 2.0
     assert world["bounds"] == {"cost_price": 3500, "seller_init": 6000, "buyer_init": 3000}
 
 

@@ -39,7 +39,6 @@ def test_root_seeds_best_when_nothing_improves():
     best, trace = search_optimal_set(["a"], ["b", "c"], fn, m=5)
     assert best.members == ("a",)
     assert best.value_impact == 1.0
-    assert trace.best_members == ("a",)
     # Root plus both candidates evaluated; no pruning with a large M.
     assert len(trace.evaluations) == 3
     assert trace.pruning_events == []
@@ -90,7 +89,7 @@ def test_depth_two_replacement_path():
     best, trace = search_optimal_set(["a", "b"], ["c", "d"], table_impact(table), m=5)
     assert best.members == ("c", "d")
     assert best.value_impact == 0.5
-    assert trace.best_impact == max(ev.impact for ev in trace.evaluations)
+    assert best.value_impact == max(ev.impact for ev in trace.evaluations)
 
 
 def test_impact_cache_deduplicates():

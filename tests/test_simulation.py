@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negotia.backends import BackendSession, NetworkError
+from negotia.backends import BackendSession, NetworkError, ScriptedWorld
 from negotia.core import Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
 from negotia.simulation import (
     BUYER_OPENER,
@@ -75,6 +75,17 @@ def test_max_turns_cap(world, scripted_session):
         SimulationConfig(p_c=0.0, seed=5, max_turns=4), world=world,
     )
     assert len(d.turns) <= 4
+
+
+def test_max_turns_is_the_only_turn_cap(bounds, scripted_session):
+    # Slow concessions leave the bargain open well past twelve rounds.
+    slow = ScriptedWorld(bounds=bounds, concession_buyer=0.01, concession_seller=0.01, close_tolerance=0)
+    d = simulate(
+        scripted_session, scripted_session, scripted_session,
+        SimulationConfig(p_c=0.0, seed=5, max_turns=40), world=slow,
+    )
+    assert len(d.turns) == 40
+    assert not d.outcome.deal
 
 
 def test_rollout_to_first_violation(world):

@@ -1,12 +1,15 @@
 """Checks over the source tree: the names the benchmark's tracer wraps and
 the library calls the benchmark makes must stay, no handler may catch
-every exception, and no module imports a private name of another."""
+every exception, the CLI reports every exception class the package defines,
+and no module imports a private name of another."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -60,6 +63,33 @@ def test_benchmark_library_calls(monkeypatch, tmp_path):
         evaluator=session, bounds=inputs.BOUNDS, dialogue_id="remote-0",
     )
     assert dialogue.error is None and dialogue.outcome is not None
+
+
+def _exception_classes() -> list[type]:
+    """Every exception class defined under src/negotia, but the rollout's own _Halt."""
+    found = []
+    for path in sorted((ROOT / "src" / "negotia").glob("*.py")):
+        module = importlib.import_module("negotia" if path.stem == "__init__" else f"negotia.{path.stem}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__ and obj.__name__ != "_Halt"
+        ]
+    return found
+
+
+@pytest.mark.parametrize("exc_class", _exception_classes(), ids=lambda c: c.__name__)
+def test_cli_reports_every_package_exception(monkeypatch, capsys, exc_class):
+    from negotia import cli
+
+    def fail(args, cfg):
+        raise exc_class("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "evaluate", fail)
+    code = cli.run(["evaluate", "--in", "in.jsonl", "--report", "r.json"])
+    assert code == (1 if exc_class is cli.UsageError else 2)
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def _catch_all_handlers(source: str) -> list[int]:
