@@ -84,12 +84,16 @@ def _write_json(path: str, obj) -> Path:
     return out
 
 
-def _read_object(path: str, **required: type) -> dict:
-    """A JSON file holding one object whose named keys have the given types."""
+def _read_json(path: str):
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: not JSON: {exc}") from exc
+
+
+def _read_object(path: str, **required: type) -> dict:
+    """A JSON file holding one object whose named keys have the given types."""
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise CorpusError(f"{path}: expected a JSON object")
     for key, kind in required.items():
@@ -103,7 +107,16 @@ def _load_config_file(path: Optional[str]) -> dict:
         return {}
     if not Path(path).exists():
         raise UsageError(f"config file not found: {path}")
-    return _read_object(path)
+    cfg = _read_object(path)
+    world = cfg.get("world", {})
+    if not isinstance(world, dict) or not isinstance(world.get("bounds", {}), dict):
+        raise CorpusError(f"{path}: 'world' and its 'bounds' must be JSON objects")
+    return cfg
+
+
+def _max_turns(cfg: dict) -> int:
+    """The config's cap on the turns of one dialogue, openers included."""
+    return int(cfg.get("max_turns", SimulationConfig.max_turns))
 
 
 def _setting(args: argparse.Namespace, cfg: dict, name: str, default):
@@ -173,6 +186,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
     p_c = float(_setting(args, cfg, "p_c", 0.4))
     remediation = _setting(args, cfg, "remediate", "off") == "on"
     workers = int(_setting(args, cfg, "workers", 1))
+    max_turns = _max_turns(cfg)
     out = Path(args.out)
 
     world = _scripted_world(cfg)
@@ -188,7 +202,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
         config = SimulationConfig(
             p_c=p_c,
             remediation_enabled=remediation,
-            max_turns=int(cfg.get("max_turns", 20)),
+            max_turns=max_turns,
             seed=derive_seed(seed, "rollout", i),
         )
         return simulate(
@@ -204,8 +218,11 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
             dialogue_id=f"sim-{i}",
         )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-        dialogues = list(pool_exec.map(one, range(n)))
+    if session.kind == "scripted":  # pure Python: threads would only contend for the GIL
+        dialogues = [one(i) for i in range(n)]
+    else:  # remote calls wait on I/O
+        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
+            dialogues = list(pool_exec.map(one, range(n)))
 
     dump_dialogues(dialogues, out)
     snapshot = {
@@ -215,6 +232,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
         "remediate": remediation,
         "backend": session.kind,
         "workers": workers,
+        "max_turns": max_turns,
         "world": asdict(world),
     }
     return Written([out], snapshot, {"rollouts": n}, base_seed=seed)
@@ -236,7 +254,8 @@ def _impact_fn(
     """The value impact of pool id sets over one probe set, and its size."""
     world = _scripted_world(cfg)
     session = BackendSession(kind="scripted")
-    sim_cfg = SimulationConfig(p_c=float(_setting(args, cfg, "p_c", 0.6)), seed=seed)
+    p_c = float(_setting(args, cfg, "p_c", 0.6))
+    sim_cfg = SimulationConfig(p_c=p_c, max_turns=_max_turns(cfg), seed=seed)
     rollout_fn = make_scripted_rollout_fn(world, sim_cfg, RewardWeights())
     silver = RemediationPolicy(exemplars=(), backend=session)
     probe = build_probe_set(world, sim_cfg, int(_setting(args, cfg, "probe_size", 8)), silver, rollout_fn)
@@ -249,7 +268,9 @@ def _cmd_filter(args: argparse.Namespace, cfg: dict) -> Written:
     impact_fn, probe_size = _impact_fn(args, cfg, seed, pool)
     ranked = rank_individuals(pool, int(args.sample), impact_fn, sample_seed=seed)
     out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
-    snapshot = {"seed": seed, "sample": int(args.sample), "probe_size": probe_size}
+    snapshot = {
+        "seed": seed, "sample": int(args.sample), "probe_size": probe_size, "max_turns": _max_turns(cfg)
+    }
     return Written([out], snapshot, {"ranked": len(ranked)}, (Path(args.pool),), seed)
 
 
@@ -258,7 +279,11 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
     k = int(_setting(args, cfg, "k", 8))
     m = int(_setting(args, cfg, "m", 2))
     pool = load_exemplars(args.pool)
-    ranked_objs = json.loads(Path(args.ranked).read_text(encoding="utf-8"))
+    ranked_objs = _read_json(args.ranked)
+    if not isinstance(ranked_objs, list) or not all(
+        isinstance(o, dict) and "id" in o and "value_impact" in o for o in ranked_objs
+    ):
+        raise CorpusError(f"{args.ranked}: expected a JSON array of objects with 'id' and 'value_impact'")
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
     _from_pool(pool, [eid for eid, _ in ranked], "ranked ids")
     s_init, s_cand = split_candidates(ranked, k)
@@ -273,7 +298,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
             "best": {"members": list(best.members), "impact": best.value_impact},
         }
         outputs.append(_write_json(args.trace, trace_obj))
-    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": probe_size}
+    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": probe_size, "max_turns": _max_turns(cfg)}
     counts = {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)}
     return Written(outputs, snapshot, counts, (Path(args.pool), Path(args.ranked)), seed)
 
@@ -363,7 +388,8 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
             return Turn(speaker=role, text=rewrite, violation=True, original_text=raw)
         return Turn(speaker=role, text=raw, violation=True)
 
-    d = play(world, role, speak, int(cfg.get("max_turns", 20)))
+    max_turns = _max_turns(cfg)
+    d = play(world, role, speak, max_turns)
     show(d.turns)
     flags = len(choices)
     accepted = sum(1 for c in choices if c["accepted"])
@@ -374,7 +400,7 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
     record = dialogue_to_obj(d)
     record["interactive_choices"] = choices
     out.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
-    snapshot = {"role": role.value, "world": asdict(world)}
+    snapshot = {"role": role.value, "max_turns": max_turns, "world": asdict(world)}
     return Written([out], snapshot, {"turns": len(d.turns), "flags": flags, "accepted": accepted})
 
 

@@ -151,21 +151,37 @@ def format_money(minor_units: int) -> str:
 # Validation
 
 
-def _turn_problems(turns: tuple[Turn, ...]) -> list[str]:
-    """The rules every stored run of turns obeys: dialogues and histories alike."""
+# A turn with the rules it breaks on its own, wherever it stands.
+Checked = tuple[Turn, tuple[str, ...]]
+
+
+def _check_turn(t: Turn) -> Checked:
+    problems: list[str] = []
+    if not t.text:
+        problems.append("empty text")
+    if t.original_text is not None and not t.violation:
+        problems.append("original_text present but violation=false")
+    if t.violation and t.speaker is not Speaker.SELLER:
+        problems.append("violation flagged on non-seller turn")
+    return t, tuple(problems)
+
+
+def _check_run(items: Iterable, check: Callable[..., Checked]) -> tuple[tuple[Turn, ...], list[str]]:
+    """The rules every stored run of turns obeys, dialogues and histories
+    alike: each turn's own (``check`` maps an item to its turn and those),
+    then strict alternation. Returns the turns and every broken rule."""
+    turns: list[Turn] = []
     problems: list[str] = []
     prev = None
-    for i, t in enumerate(turns):
-        if not t.text:
-            problems.append(f"turn {i}: empty text")
-        if t.original_text is not None and not t.violation:
-            problems.append(f"turn {i}: original_text present but violation=false")
-        if t.violation and t.speaker is not Speaker.SELLER:
-            problems.append(f"turn {i}: violation flagged on non-seller turn")
+    for i, item in enumerate(items):
+        t, own = check(item)
+        if own:
+            problems.extend(f"turn {i}: {p}" for p in own)
         if t.speaker is prev:
             problems.append(f"turn {i}: speakers must strictly alternate")
         prev = t.speaker
-    return problems
+        turns.append(t)
+    return tuple(turns), problems
 
 
 def _opener_problems(turns: tuple[Turn, ...]) -> list[str]:
@@ -179,7 +195,7 @@ def _opener_problems(turns: tuple[Turn, ...]) -> list[str]:
 
 def validate_dialogue(d: Dialogue) -> list[str]:
     """Return a list of invariant violations; empty means the dialogue is ok."""
-    return _turn_problems(d.turns) + _opener_problems(d.turns)
+    return _check_run(d.turns, _check_turn)[1] + _opener_problems(d.turns)
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +209,55 @@ def _turn_to_obj(t: Turn) -> dict:
     return obj
 
 
+_SPEAKERS = {s.value: s for s in Speaker}
+
+# The most turns one file's intern table holds. A scripted corpus has a few
+# dozen distinct turns; a remote one repeats almost none, and an unbounded
+# table would keep a key and an entry alive for each of its turns.
+_INTERN_LIMIT = 1024
+
+
+def _turn_decoder() -> Callable[[dict], Checked]:
+    """Decode turn records to checked turns, building and checking each
+    distinct record once: equal records share one frozen ``Turn``, up to
+    ``_INTERN_LIMIT`` of them. Only string texts are interned, since 1, 1.0
+    and true are equal keys."""
+    table: dict[tuple, Checked] = {}
+
+    def decode(obj: dict) -> Checked:
+        raw = obj["speaker"]
+        try:
+            speaker = _SPEAKERS[raw]
+        except (KeyError, TypeError):
+            speaker = Speaker(raw)  # raises the enum's own error
+        key = (speaker, obj["text"], bool(obj.get("violation", False)), obj.get("original_text"))
+        if type(key[1]) is not str or not (key[3] is None or type(key[3]) is str):
+            return _check_turn(Turn(*key))
+        checked = table.get(key)
+        if checked is None:
+            checked = _check_turn(Turn(*key))
+            if len(table) < _INTERN_LIMIT:
+                table[key] = checked
+        return checked
+
+    return decode
+
+
+def _decode_turns(objs: list[dict], decode: Callable[[dict], Checked]) -> tuple[Turn, ...]:
+    if not all(isinstance(obj, dict) for obj in objs):
+        raise CorpusError("every turn must be a JSON object")
+    turns, problems = _check_run(objs, decode)
+    if problems:
+        raise CorpusError("; ".join(problems))
+    return turns
+
+
 def turns_from_objs(objs: list[dict]) -> tuple[Turn, ...]:
     """Decode a run of turn records, refusing it (``CorpusError``) unless it
     is a list of objects that obeys the turn rules: no empty text,
     ``original_text`` only on a violation, violations only on seller turns,
     alternating speakers."""
-    if not all(isinstance(obj, dict) for obj in objs):
-        raise CorpusError("every turn must be a JSON object")
-    turns = tuple(
-        Turn(
-            speaker=Speaker(obj["speaker"]),
-            text=obj["text"],
-            violation=bool(obj.get("violation", False)),
-            original_text=obj.get("original_text"),
-        )
-        for obj in objs
-    )
-    if problems := _turn_problems(turns):
-        raise CorpusError("; ".join(problems))
-    return turns
+    return _decode_turns(objs, _turn_decoder())
 
 
 def dialogue_to_obj(d: Dialogue) -> dict:
@@ -241,7 +287,7 @@ def dialogue_to_obj(d: Dialogue) -> dict:
     return obj
 
 
-def _dialogue_from_obj(obj: dict) -> Dialogue:
+def _dialogue_from_obj(obj: dict, decode: Callable[[dict], Checked]) -> Dialogue:
     outcome = None
     if "outcome" in obj and obj["outcome"] is not None:
         o = obj["outcome"]
@@ -252,7 +298,7 @@ def _dialogue_from_obj(obj: dict) -> Dialogue:
             business_delta=int(o.get("business_delta", 0)),
         )
     b = obj["bounds"]
-    turns = turns_from_objs(obj["turns"])
+    turns = _decode_turns(obj["turns"], decode)
     if problems := _opener_problems(turns):
         raise CorpusError("; ".join(problems))
     return Dialogue(
@@ -284,12 +330,12 @@ def _exemplar_to_obj(e: Exemplar) -> dict:
     return obj
 
 
-def _exemplar_from_obj(obj: dict) -> Exemplar:
+def _exemplar_from_obj(obj: dict, decode: Callable[[dict], Checked]) -> Exemplar:
     if not obj["violation_text"] or not obj["remediation_text"]:
         raise CorpusError("empty text in violation_text or remediation_text")
     return Exemplar(
         id=obj["id"],
-        history=turns_from_objs(obj["history"]),
+        history=_decode_turns(obj["history"], decode),
         violation_text=obj["violation_text"],
         remediation_text=obj["remediation_text"],
         rationale=obj.get("rationale"),
@@ -300,20 +346,22 @@ def _exemplar_from_obj(obj: dict) -> Exemplar:
 Record = TypeVar("Record", Dialogue, Exemplar)
 
 
-def _load_jsonl(path: str | Path, decode: Callable[[dict], Record]) -> list[Record]:
-    """Decode every non-blank line of a JSON-lines file; ids must be unique."""
+def _load_jsonl(path: str | Path, from_obj: Callable[[dict, Callable], Record]) -> list[Record]:
+    """Decode every non-blank line of a JSON-lines file; ids must be unique.
+    Equal turns across the file share one ``Turn``."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
     records: list[Record] = []
     seen: set[str] = set()
+    decode = _turn_decoder()
     with path.open(encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = decode(json.loads(line))
+                record = from_obj(json.loads(line), decode)
             except CorpusError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:

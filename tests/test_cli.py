@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -42,8 +43,14 @@ def test_simulate_writes_corpus_and_manifest(tmp_path):
     assert manifest["finished_at"] >= manifest["started_at"]
 
 
-def test_simulate_worker_independence(tmp_path):
+def test_simulate_worker_independence(tmp_path, monkeypatch):
     a = simulate_corpus(tmp_path, "a.jsonl")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("scripted simulate started a thread pool")
+
+    # Scripted rollouts run in the calling thread for any --workers value.
+    monkeypatch.setattr("negotia.cli.ThreadPoolExecutor", no_pool)
     out_b = tmp_path / "b.jsonl"
     assert run(["--workers", "3", "simulate", "--backend", "scripted", "--seed", "7",
                 "--n", "5", "--out", str(out_b)]) == 0
@@ -122,6 +129,30 @@ def test_probe_size_from_config_file_and_flag(tmp_path):
     # A flag overrides the file.
     assert run(base + ["--probe-size", "2"]) == 0
     assert read_manifest(out)["config"]["probe_size"] == 2
+
+
+def test_filter_and_search_honour_max_turns(tmp_path):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7, 0.3, 0.2, 0.1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_turns": 4}), encoding="utf-8")
+    probed = ["--pool", str(pool_path), "--probe-size", "4", "--seed", "3"]
+    ranked = {}
+    for name, config in (("default", []), ("capped", ["--config", str(cfg)])):
+        ranked[name] = tmp_path / f"{name}.json"
+        assert run([*config, "filter", *probed, "--sample", "6", "--out", str(ranked[name])]) == 0
+    # A bargain cut at four turns never closes, so no rewrite moves its reward.
+    default = json.loads(ranked["default"].read_text())
+    assert [r["value_impact"] for r in json.loads(ranked["capped"].read_text())] == [0.0] * 6
+    assert all(r["value_impact"] != 0.0 for r in default)
+    # The manifest records the cap that set these values.
+    assert read_manifest(ranked["default"])["config"]["max_turns"] == 20
+    assert read_manifest(ranked["capped"])["config"]["max_turns"] == 4
+
+    best = tmp_path / "best.json"
+    assert run(["--config", str(cfg), "search", *probed, "--ranked", str(ranked["default"]),
+                "--k", "2", "--m", "2", "--out", str(best)]) == 0
+    assert json.loads(best.read_text())["value_impact"] == 0.0
+    assert read_manifest(best)["config"]["max_turns"] == 4
 
 
 def test_select_random_and_retrieval(tmp_path):
@@ -238,6 +269,31 @@ def test_malformed_json_input_is_refused(tmp_path, capsys, name, content):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("ranked", {"a": 1}),
+        ("ranked", ["ex-0.9", "ex-0.8", "ex-0.7"]),
+        ("ranked", [{"id": "ex-0.9"}, {"id": "ex-0.8"}, {"id": "ex-0.7"}]),
+        ("config", {"world": [1]}),
+        ("config", {"world": {"bounds": 5}}),
+    ],
+    ids=["ranked-object", "ranked-ids", "ranked-no-impact", "world-list", "bounds-number"],
+)
+def test_malformed_json_shape_is_refused(tmp_path, capsys, name, content):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
+    files = {"ranked": [{"id": f"ex-{q}", "value_impact": q} for q in (0.9, 0.8, 0.7)], "config": {}}
+    files[name] = content
+    paths = {key: tmp_path / f"{key}.json" for key in files}
+    for key, obj in files.items():
+        paths[key].write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "best.json"
+    assert run(["--config", str(paths["config"]), "search", "--ranked", str(paths["ranked"]),
+                "--pool", str(pool_path), "--k", "2", "--probe-size", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {paths[name]}: ")
+    assert not out.exists()
+
+
 def test_scripted_commands_need_no_prompt_templates(tmp_path, capsys):
     corpus = simulate_corpus(tmp_path, extra=["--p-c", "0.9"])
     pool_path = make_pool_file(tmp_path, (0.9,))
@@ -334,17 +390,52 @@ def test_module_entry_point_runs_a_command(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["n"] == 5
 
 
-def test_evaluator_failure_is_contained_to_its_dialogue(tmp_path, monkeypatch):
+class Reply:
+    """A chat completion as the HTTP transport receives it."""
+
+    status_code = 200
+
+    def __init__(self, content):
+        self.content = content
+
+    def json(self):
+        return {"choices": [{"finish_reason": "stop", "message": {"content": self.content}}]}
+
+
+def hashed_post(url, json, **kwargs):
+    """A chat endpoint whose every reply depends only on the request."""
+    text = "\n".join(m["content"] for m in json["messages"])
+    h = int(hashlib.sha256(text.encode()).hexdigest(), 16)
+    if "You are the moderator" in text:  # dialogues part at the seller's violation coins
+        lines = sum(ln.startswith(("buyer: ", "seller: ")) for ln in text.splitlines())
+        return Reply("Yes" if lines >= 8 and h % 3 == 0 else "No")
+    if "whether a deal was reached" in text:
+        return Reply(f"Deal\n${40 + h % 10}" if h % 2 else "No deal")
+    if "whether trust" in text:
+        return Reply(("Trust Deepening", "No Change")[h % 2])
+    if "whether the business relationship" in text:
+        return Reply(("Business Relationship Weakening", "No Change")[h % 2])
+    return Reply(f"Could we settle at ${40 + h % 10} per unit?")
+
+
+def test_remote_simulate_is_byte_identical_for_any_worker_count(tmp_path, monkeypatch):
     import requests
 
-    class Reply:
-        status_code = 200
+    monkeypatch.setattr(requests, "post", hashed_post)
+    outs = []
+    for workers in ("1", "3"):
+        outs.append(tmp_path / f"w{workers}.jsonl")
+        assert run(["--workers", workers, "--api-base", "http://example.invalid/v1", "--model", "m",
+                    "simulate", "--backend", "remote", "--seed", "5", "--n", "6", "--p-c", "0.5",
+                    "--remediate", "on", "--out", str(outs[-1])]) == 0
+    corpus = load_dialogues(outs[0])
+    assert len(corpus) == 6 and all(d.outcome is not None for d in corpus)
+    assert len({d.turns for d in corpus}) > 1
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
-        def __init__(self, content):
-            self.content = content
 
-        def json(self):
-            return {"choices": [{"finish_reason": "stop", "message": {"content": self.content}}]}
+def test_evaluator_failure_is_contained_to_its_dialogue(tmp_path, monkeypatch):
+    import requests
 
     def post(url, json, **kwargs):
         if any("whether a deal was reached" in m["content"] for m in json["messages"]):

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from negotia import core
+from negotia.backends import BackendSession, derive_seed
 from negotia.core import (
     CorpusError,
     Dialogue,
@@ -26,6 +28,7 @@ from negotia.core import (
     turns_from_objs,
     validate_dialogue,
 )
+from negotia.simulation import SimulationConfig, simulate
 
 
 def make_dialogue(turns, bounds, did="d-0"):
@@ -184,3 +187,100 @@ def test_turns_from_objs_decodes_a_valid_history():
         Turn(speaker=Speaker.BUYER, text="hi"),
         Turn(speaker=Speaker.SELLER, text="ok", violation=True, original_text="OK!"),
     )
+
+
+def oracle_turns_from_objs(objs):
+    """The two-pass decoder the interning one replaced: build every turn,
+    then check the turn rules over the whole run."""
+    if not all(isinstance(obj, dict) for obj in objs):
+        raise CorpusError("every turn must be a JSON object")
+    turns = tuple(
+        Turn(
+            speaker=Speaker(obj["speaker"]),
+            text=obj["text"],
+            violation=bool(obj.get("violation", False)),
+            original_text=obj.get("original_text"),
+        )
+        for obj in objs
+    )
+    problems = []
+    prev = None
+    for i, t in enumerate(turns):
+        if not t.text:
+            problems.append(f"turn {i}: empty text")
+        if t.original_text is not None and not t.violation:
+            problems.append(f"turn {i}: original_text present but violation=false")
+        if t.violation and t.speaker is not Speaker.SELLER:
+            problems.append(f"turn {i}: violation flagged on non-seller turn")
+        if t.speaker is prev:
+            problems.append(f"turn {i}: speakers must strictly alternate")
+        prev = t.speaker
+    if problems:
+        raise CorpusError("; ".join(problems))
+    return turns
+
+
+TURN_OBJS = st.one_of(
+    st.fixed_dictionaries(
+        # 1, 1.0 and true are equal as dict keys but decode to distinct texts.
+        {
+            "speaker": st.sampled_from(["buyer", "seller", "moderator"]),
+            "text": st.sampled_from(["", "hi", "ok", 0, 1, 1.0, True, False]),
+        },
+        optional={
+            "violation": st.sampled_from([True, False, 0, 1]),
+            "original_text": st.sampled_from([None, "", "OK!", 1, 1.0, True]),
+        },
+    ),
+    st.sampled_from([None, 3, "buyer", ["seller"], {"speaker": "buyer"}]),
+)
+
+
+def outcome(decode, objs):
+    """What a decoder returns for a run (its repr, which shows each field's
+    type), or the type and message it raises."""
+    try:
+        return repr(decode(objs))
+    except (CorpusError, KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(TURN_OBJS, max_size=6))
+@example([{"speaker": "buyer", "text": 1}, {"speaker": "seller", "text": "ok"}, {"speaker": "buyer", "text": True}])
+@example([{"speaker": "buyer", "text": "hi", "violation": 0}, {"speaker": "seller", "text": "ok", "violation": 1}])
+def test_turn_decoder_matches_the_oracle(objs):
+    assert outcome(turns_from_objs, objs) == outcome(oracle_turns_from_objs, objs)
+
+
+@given(st.lists(st.lists(TURN_OBJS, max_size=4), max_size=5))
+@example([[{"speaker": "buyer", "text": 1.0}], [{"speaker": "buyer", "text": True}]])
+def test_one_intern_table_decodes_each_run_as_the_oracle(runs):
+    # A file's runs share one table: a turn's problems must not leak into
+    # another position or run.
+    decode = core._turn_decoder()
+    for objs in runs:
+        assert outcome(lambda o: core._decode_turns(o, decode), objs) == outcome(oracle_turns_from_objs, objs)
+
+
+def test_intern_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
+    objs = [{"speaker": ("buyer", "seller")[i % 2], "text": f"t{i}"} for i in range(5)]
+    decode = core._turn_decoder()
+    first, again = core._decode_turns(objs, decode), core._decode_turns(objs, decode)
+    assert first == again == oracle_turns_from_objs(objs)
+    assert [a is b for a, b in zip(first, again)] == [True, True, False, False, False]
+
+
+def test_loaded_corpus_shares_one_turn_per_distinct_turn(tmp_path, world):
+    session = BackendSession(kind="scripted")
+    dialogues = [
+        simulate(session, session, session, SimulationConfig(seed=derive_seed(0, "rollout", i)),
+                 world=world, dialogue_id=f"sim-{i}")
+        for i in range(200)
+    ]
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues(dialogues, path)
+    corpus = load_dialogues(path)
+    assert corpus == dialogues
+    turns = [t for d in corpus for t in d.turns]
+    assert len({id(t) for t in turns}) == len(set(turns)) < len(turns) / 10
