@@ -2,7 +2,7 @@
 interactive human-in-the-loop session.
 
 Configuration precedence: flags override config-file values, which override
-built-in defaults.
+the parser's defaults; a config key that names a flag is read as its text.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -54,20 +54,19 @@ class Written:
     """What a subcommand wrote; the manifest sits beside the first output."""
 
     outputs: list[Path]
-    config: dict
     counts: dict
     inputs: tuple[Path, ...] = ()
-    base_seed: int = 0
+    settings: dict = field(default_factory=dict)  # read from the config alone, not from a flag
 
 
-def _write_manifest(command: str, started: float, written: Written) -> None:
+def _write_manifest(args: argparse.Namespace, started: float, written: Written) -> None:
     def digests(paths) -> dict:
         return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.exists()}
 
     manifest = {
-        "command": command,
-        "config": written.config,
-        "base_seed": written.base_seed,
+        "command": args.command,
+        "config": {**vars(args), **written.settings},
+        "base_seed": getattr(args, "seed", None),
         "started_at": started,
         "finished_at": time.time(),
         "inputs": digests(written.inputs),
@@ -102,6 +101,13 @@ def _read_object(path: str, **required: type) -> dict:
     return obj
 
 
+def _scalar(path: str, key: str, value):
+    """A config value, which must be a JSON string or number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CorpusError(f"{path}: {key!r} must be a JSON string or number")
+    return value
+
+
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -114,21 +120,31 @@ def _load_config_file(path: Optional[str]) -> dict:
     return cfg
 
 
-def _max_turns(cfg: dict) -> int:
-    """The config's cap on the turns of one dialogue, openers included."""
-    return int(cfg.get("max_turns", SimulationConfig.max_turns))
+def _with_config(
+    parser: argparse.ArgumentParser, argv: list[str], path: Optional[str], cfg: dict
+) -> list[str]:
+    """argv with each config key that names a flag spliced in as that flag's
+    text, ahead of the user's own flags, so that theirs win."""
+
+    def flags(p: argparse.ArgumentParser) -> list[str]:
+        return [
+            f"{a.option_strings[0]}={_scalar(path, a.dest, cfg[a.dest])}"
+            for a in p._actions
+            if a.option_strings and not a.required and a.dest in cfg and a.dest not in ("help", "config")
+        ]
+
+    # Every top-level flag takes one value, so the first token that is
+    # neither a flag nor a flag's value names the command.
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [*flags(parser), *argv[: i + 1], *flags(commands.choices[argv[i]]), *argv[i + 1 :]]
 
 
-def _setting(args: argparse.Namespace, cfg: dict, name: str, default):
-    """Flag > config file > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
-
-
-def _scripted_world(cfg: dict) -> ScriptedWorld:
-    """The config's "world" over ScriptedWorld's defaults; an unknown key is a usage error."""
+def _bargain(path: str, cfg: dict) -> tuple[ScriptedWorld, int]:
+    """The config's "world" over ScriptedWorld's defaults, and its cap on the
+    turns of one dialogue, openers included; an unknown key is a usage error."""
     w = dict(cfg.get("world", {}))
     bounds = w.pop("bounds", {})
     default = ScriptedWorld(bounds=DEFAULT_BOUNDS)
@@ -136,27 +152,27 @@ def _scripted_world(cfg: dict) -> ScriptedWorld:
         unknown = sorted(set(given) - {f.name for f in fields(base)})
         if unknown:
             raise UsageError(f"unknown {section} key: {', '.join(unknown)}")
-    return replace(
+        for key, value in given.items():
+            _scalar(path, f"{section}.{key}", value)
+    world = replace(
         default,
         bounds=replace(DEFAULT_BOUNDS, **{k: int(v) for k, v in bounds.items()}),
         **{k: type(getattr(default, k))(v) for k, v in w.items()},
     )
+    return world, int(_scalar(path, "max_turns", cfg.get("max_turns", SimulationConfig.max_turns)))
 
 
-def _backend_session(args: argparse.Namespace, cfg: dict) -> tuple[BackendSession, Optional[TemplateStore]]:
+def _backend_session(args: argparse.Namespace) -> tuple[BackendSession, Optional[TemplateStore]]:
     """The agents' session, and the prompt templates only a remote one renders."""
-    if _setting(args, cfg, "backend", "scripted") == "scripted":
+    if args.backend == "scripted":
         return BackendSession(kind="scripted"), None
-    api_base = _setting(args, cfg, "api_base", None)
-    model = _setting(args, cfg, "model", None)
-    if not api_base or not model:
+    if not args.api_base or not args.model:
         raise UsageError("remote backend requires --api-base and --model")
-    cache_dir = _setting(args, cfg, "cache_dir", None)
     session = BackendSession(
         kind="remote",
-        endpoint=api_base,
-        model_name=model,
-        cache_dir=Path(cache_dir) if cache_dir else None,
+        endpoint=args.api_base,
+        model_name=args.model,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
     return session, TemplateStore(Path(args.prompts_dir) if args.prompts_dir else None)
 
@@ -181,29 +197,23 @@ def _load_set(pool_path: str, set_path: str) -> tuple[Exemplar, ...]:
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
-    seed = int(_setting(args, cfg, "seed", 0))
-    n = int(_setting(args, cfg, "n", 10))
-    p_c = float(_setting(args, cfg, "p_c", 0.4))
-    remediation = _setting(args, cfg, "remediate", "off") == "on"
-    workers = int(_setting(args, cfg, "workers", 1))
-    max_turns = _max_turns(cfg)
-    out = Path(args.out)
-
-    world = _scripted_world(cfg)
-    session, templates = _backend_session(args, cfg)
+    if (args.pool is None) != (args.set is None):
+        raise UsageError("simulate takes --pool and --set together or not at all")
+    world, max_turns = _bargain(args.config, cfg)
+    session, templates = _backend_session(args)
 
     remediator = None
-    if remediation:
-        exemplars = _load_set(args.pool, args.set) if args.pool and args.set else ()
+    if args.remediate:
+        exemplars = _load_set(args.pool, args.set) if args.pool else ()
         policy = RemediationPolicy(exemplars=exemplars, backend=session)
         remediator = lambda hist, text: remediate(policy, hist, text, templates)  # noqa: E731
 
     def one(i: int) -> Dialogue:
         config = SimulationConfig(
-            p_c=p_c,
-            remediation_enabled=remediation,
+            p_c=args.p_c,
+            remediation_enabled=args.remediate,
             max_turns=max_turns,
-            seed=derive_seed(seed, "rollout", i),
+            seed=derive_seed(args.seed, "rollout", i),
         )
         return simulate(
             session,
@@ -219,65 +229,49 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
         )
 
     if session.kind == "scripted":  # pure Python: threads would only contend for the GIL
-        dialogues = [one(i) for i in range(n)]
+        dialogues = [one(i) for i in range(args.n)]
     else:  # remote calls wait on I/O
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            dialogues = list(pool_exec.map(one, range(n)))
+        with ThreadPoolExecutor(max_workers=args.workers) as pool_exec:
+            dialogues = list(pool_exec.map(one, range(args.n)))
 
+    out = Path(args.out)
     dump_dialogues(dialogues, out)
-    snapshot = {
-        "seed": seed,
-        "n": n,
-        "p_c": p_c,
-        "remediate": remediation,
-        "backend": session.kind,
-        "workers": workers,
-        "max_turns": max_turns,
-        "world": asdict(world),
-    }
-    return Written([out], snapshot, {"rollouts": n}, base_seed=seed)
+    return Written([out], {"rollouts": args.n}, settings={"max_turns": max_turns, "world": asdict(world)})
 
 
 def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> Written:
     corpus = load_dialogues(args.infile)
-    session, templates = _backend_session(args, cfg)
+    session, templates = _backend_session(args)
     pool = silver_annotate(corpus, session, templates)
     out = Path(args.out)
     dump_exemplars(pool, out)
-    snapshot = {"backend": session.kind, "in": args.infile}
-    return Written([out], snapshot, {"exemplars": len(pool)}, (Path(args.infile),))
+    return Written([out], {"exemplars": len(pool)}, (Path(args.infile),))
 
 
 def _impact_fn(
-    args: argparse.Namespace, cfg: dict, seed: int, pool: list[Exemplar]
-) -> tuple[ImpactFn, int]:
-    """The value impact of pool id sets over one probe set, and its size."""
-    world = _scripted_world(cfg)
+    args: argparse.Namespace, world: ScriptedWorld, max_turns: int, pool: list[Exemplar]
+) -> ImpactFn:
+    """The value impact of pool id sets over one probe set."""
     session = BackendSession(kind="scripted")
-    p_c = float(_setting(args, cfg, "p_c", 0.6))
-    sim_cfg = SimulationConfig(p_c=p_c, max_turns=_max_turns(cfg), seed=seed)
+    sim_cfg = SimulationConfig(p_c=args.p_c, max_turns=max_turns, seed=args.seed)
     rollout_fn = make_scripted_rollout_fn(world, sim_cfg, RewardWeights())
     silver = RemediationPolicy(exemplars=(), backend=session)
-    probe = build_probe_set(world, sim_cfg, int(_setting(args, cfg, "probe_size", 8)), silver, rollout_fn)
-    return make_impact_fn(pool, probe, session, rollout_fn), len(probe)
+    probe = build_probe_set(world, sim_cfg, args.probe_size, silver, rollout_fn)
+    return make_impact_fn(pool, probe, session, rollout_fn)
 
 
 def _cmd_filter(args: argparse.Namespace, cfg: dict) -> Written:
-    seed = int(_setting(args, cfg, "seed", 0))
+    world, max_turns = _bargain(args.config, cfg)
     pool = load_exemplars(args.pool)
-    impact_fn, probe_size = _impact_fn(args, cfg, seed, pool)
-    ranked = rank_individuals(pool, int(args.sample), impact_fn, sample_seed=seed)
+    impact_fn = _impact_fn(args, world, max_turns, pool)
+    ranked = rank_individuals(pool, args.sample, impact_fn, sample_seed=args.seed)
     out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
-    snapshot = {
-        "seed": seed, "sample": int(args.sample), "probe_size": probe_size, "max_turns": _max_turns(cfg)
-    }
-    return Written([out], snapshot, {"ranked": len(ranked)}, (Path(args.pool),), seed)
+    settings = {"max_turns": max_turns, "world": asdict(world)}
+    return Written([out], {"ranked": len(ranked)}, (Path(args.pool),), settings)
 
 
 def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
-    seed = int(_setting(args, cfg, "seed", 0))
-    k = int(_setting(args, cfg, "k", 8))
-    m = int(_setting(args, cfg, "m", 2))
+    world, max_turns = _bargain(args.config, cfg)
     pool = load_exemplars(args.pool)
     ranked_objs = _read_json(args.ranked)
     if not isinstance(ranked_objs, list) or not all(
@@ -286,10 +280,9 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
         raise CorpusError(f"{args.ranked}: expected a JSON array of objects with 'id' and 'value_impact'")
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
     _from_pool(pool, [eid for eid, _ in ranked], "ranked ids")
-    s_init, s_cand = split_candidates(ranked, k)
+    s_init, s_cand = split_candidates(ranked, args.k)
 
-    impact_fn, probe_size = _impact_fn(args, cfg, seed, pool)
-    best, trace = search_optimal_set(s_init, s_cand, impact_fn, m)
+    best, trace = search_optimal_set(s_init, s_cand, _impact_fn(args, world, max_turns, pool), args.m)
     outputs = [_write_json(args.out, {"members": list(best.members), "value_impact": best.value_impact})]
     if args.trace:
         trace_obj = {
@@ -298,32 +291,29 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
             "best": {"members": list(best.members), "impact": best.value_impact},
         }
         outputs.append(_write_json(args.trace, trace_obj))
-    snapshot = {"seed": seed, "k": k, "m": m, "probe_size": probe_size, "max_turns": _max_turns(cfg)}
     counts = {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)}
-    return Written(outputs, snapshot, counts, (Path(args.pool), Path(args.ranked)), seed)
+    settings = {"max_turns": max_turns, "world": asdict(world)}
+    return Written(outputs, counts, (Path(args.pool), Path(args.ranked)), settings)
 
 
 def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
-    seed = int(_setting(args, cfg, "seed", 0))
-    k = int(_setting(args, cfg, "k", 8))
     pool = load_exemplars(args.pool)
     if args.strategy == "random":
-        chosen = select_random(pool, k, seed)
+        chosen = select_random(pool, args.k, args.seed)
     else:  # retrieval; argparse admits no other strategy
         if not args.query:
             raise UsageError("retrieval strategy requires --query")
         query_text = _read_object(args.query, text=str)["text"]
-        chosen = select_retrieval(pool, query_text, k, HashedNgramEmbedder())
+        chosen = select_retrieval(pool, query_text, args.k, HashedNgramEmbedder())
     out = _write_json(args.out, {"members": list(chosen.members)})
-    snapshot = {"strategy": args.strategy, "k": k, "seed": seed}
-    return Written([out], snapshot, {"selected": k}, (Path(args.pool),), seed)
+    return Written([out], {"selected": args.k}, (Path(args.pool),))
 
 
 def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> None:
     exemplars = _load_set(args.pool, args.set)
     query = _read_object(args.infile, history=list, violation_text=str)
     history = turns_from_objs(query["history"])
-    session, templates = _backend_session(args, cfg)
+    session, templates = _backend_session(args)
     policy = RemediationPolicy(exemplars=exemplars, backend=session)
     print(remediate(policy, history, query["violation_text"], templates))
 
@@ -336,7 +326,7 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> Written:
     report = evaluate_corpus(scored or corpus)
     out = _write_json(args.report, asdict(report))
     counts = {"dialogues": report.n, "excluded": len(excluded), "excluded_ids": excluded[:5]}
-    return Written([out], {"in": args.infile}, counts, (Path(args.infile),))
+    return Written([out], counts, (Path(args.infile),))
 
 
 def _ask(prompt: str) -> str:
@@ -349,7 +339,7 @@ def _ask(prompt: str) -> str:
 
 def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
     role = Speaker(args.role)
-    world = _scripted_world(cfg)
+    world, max_turns = _bargain(args.config, cfg)
     policy = RemediationPolicy(exemplars=(), backend=BackendSession(kind="scripted"))
     choices: list[dict] = []
     shown = 0  # turns already on screen
@@ -388,7 +378,6 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
             return Turn(speaker=role, text=rewrite, violation=True, original_text=raw)
         return Turn(speaker=role, text=raw, violation=True)
 
-    max_turns = _max_turns(cfg)
     d = play(world, role, speak, max_turns)
     show(d.turns)
     flags = len(choices)
@@ -400,45 +389,54 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
     record = dialogue_to_obj(d)
     record["interactive_choices"] = choices
     out.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
-    snapshot = {"role": role.value, "max_turns": max_turns, "world": asdict(world)}
-    return Written([out], snapshot, {"turns": len(d.turns), "flags": flags, "accepted": accepted})
+    counts = {"turns": len(d.turns), "flags": flags, "accepted": accepted}
+    return Written([out], counts, settings={"max_turns": max_turns, "world": asdict(world)})
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
+def _on_off(text: str) -> bool:
+    """The value of a switch written 'on' or 'off'."""
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'on', 'off')")
+    return text == "on"
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Every setting's type, choices and default. Each top-level flag takes
+    exactly one value, which `_with_config` relies on."""
     parser = argparse.ArgumentParser(prog="negotia")
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--cache-dir", dest="cache_dir", default=None)
-    parser.add_argument("--api-base", dest="api_base", default=None)
-    parser.add_argument("--model", default=None)
-    parser.add_argument("--prompts-dir", dest="prompts_dir", default=None)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--cache-dir")
+    parser.add_argument("--api-base")
+    parser.add_argument("--model")
+    parser.add_argument("--prompts-dir")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p-c", dest="p_c", type=float, default=None)
-    p.add_argument("--remediate", default=None, choices=["on", "off"])
-    p.add_argument("--backend", default=None, choices=["scripted", "remote"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--p-c", type=float, default=0.4)
+    p.add_argument("--remediate", type=_on_off, default=False, metavar="{on,off}")
+    p.add_argument("--backend", default="scripted", choices=["scripted", "remote"])
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--pool", default=None)
-    p.add_argument("--set", default=None)
+    p.add_argument("--pool")
+    p.add_argument("--set")
 
     p = sub.add_parser("annotate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--backend", default=None, choices=["scripted", "remote"])
+    p.add_argument("--backend", default="scripted", choices=["scripted", "remote"])
 
     # filter and search score exemplars over the same kind of probe set.
     probed = argparse.ArgumentParser(add_help=False)
     probed.add_argument("--pool", required=True)
-    probed.add_argument("--probe-size", dest="probe_size", type=int, default=None)
-    probed.add_argument("--p-c", dest="p_c", type=float, default=None)
-    probed.add_argument("--seed", type=int, default=None)
+    probed.add_argument("--probe-size", type=int, default=8)
+    probed.add_argument("--p-c", type=float, default=0.6)
+    probed.add_argument("--seed", type=int, default=0)
     probed.add_argument("--out", required=True)
 
     p = sub.add_parser("filter", parents=[probed])
@@ -446,23 +444,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[probed])
     p.add_argument("--ranked", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trace", default=None)
+    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--trace")
 
     p = sub.add_parser("select")
     p.add_argument("--strategy", required=True, choices=["random", "retrieval"])
     p.add_argument("--pool", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--query", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--query")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("remediate")
     p.add_argument("--pool", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--backend", default=None, choices=["scripted", "remote"])
+    p.add_argument("--backend", default="scripted", choices=["scripted", "remote"])
 
     p = sub.add_parser("evaluate")
     p.add_argument("--in", dest="infile", required=True)
@@ -491,18 +489,18 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 1
         cfg = _load_config_file(args.config)
+        args = parser.parse_args(_with_config(parser, argv, args.config, cfg))
         started = time.time()
         written = _COMMANDS[args.command](args, cfg)
         if written is not None:
-            _write_manifest(args.command, started, written)
+            _write_manifest(args, started, written)
         return 0
+    except SystemExit as exc:  # argparse has printed its message
+        return 1 if exc.code else 0
     except (
         UsageError, CorpusError, BackendError, TemplateError, OSError, RuntimeError, ValueError, KeyError
     ) as exc:

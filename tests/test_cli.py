@@ -277,8 +277,19 @@ def test_malformed_json_input_is_refused(tmp_path, capsys, name, content):
         ("ranked", [{"id": "ex-0.9"}, {"id": "ex-0.8"}, {"id": "ex-0.7"}]),
         ("config", {"world": [1]}),
         ("config", {"world": {"bounds": 5}}),
+        ("config", {"seed": None}),
+        ("config", {"k": True}),
+        ("config", {"m": [1]}),
+        ("config", {"probe_size": {"n": 2}}),
+        ("config", {"cache_dir": None}),
+        ("config", {"max_turns": [1]}),
+        ("config", {"world": {"goodwill": None}}),
+        ("config", {"world": {"goodwill": [1]}}),
+        ("config", {"world": {"bounds": {"seller_init": None}}}),
     ],
-    ids=["ranked-object", "ranked-ids", "ranked-no-impact", "world-list", "bounds-number"],
+    ids=["ranked-object", "ranked-ids", "ranked-no-impact", "world-list", "bounds-number",
+         "seed-null", "k-true", "m-array", "probe-size-object", "cache-dir-null",
+         "max-turns-array", "goodwill-null", "goodwill-array", "seller-init-null"],
 )
 def test_malformed_json_shape_is_refused(tmp_path, capsys, name, content):
     pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
@@ -474,6 +485,86 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     # n comes from the file, seed from the flag.
     assert manifest["counts"]["rollouts"] == 3
     assert manifest["base_seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        ({"remediate": True}, 2, "'remediate' must be a JSON string or number"),
+        ({"backend": 5}, 1, "argument --backend: invalid choice: '5'"),
+        ({"n": [1]}, 2, "'n' must be a JSON string or number"),
+        ({"seed": 1.7}, 1, "argument --seed: invalid int value: '1.7'"),
+        ({"seed": None}, 2, "'seed' must be a JSON string or number"),
+    ],
+    ids=["remediate-true", "backend-number", "n-array", "seed-fraction", "seed-null"],
+)
+def test_config_value_the_flag_would_refuse_is_refused(tmp_path, capsys, config, code, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(["--config", str(cfg), "simulate", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if code == 2:
+        assert err.startswith(f"error: {cfg}: ")
+    assert not out.exists()
+
+
+def test_config_values_are_read_as_flag_text(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    config = {"seed": "7", "p_c": 0.5, "n": 2, "workers": 4, "model": "m", "prompts_dir": "prompts",
+              "max_turns": 12}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(["--config", str(cfg), "simulate", "--out", str(out)]) == 0
+    resolved = read_manifest(out)["config"]
+    assert (resolved["seed"], resolved["p_c"], resolved["n"], resolved["workers"]) == (7, 0.5, 2, 4)
+    assert (resolved["model"], resolved["prompts_dir"], resolved["max_turns"]) == ("m", "prompts", 12)
+    assert read_manifest(out)["base_seed"] == 7
+    # Flags win, and flags before the subcommand, in either form, do not
+    # hide where it starts.
+    assert run(["--workers=2", "--config", str(cfg), "--model", "simulate", "simulate",
+                "--seed", "3", "--out", str(out)]) == 0
+    resolved = read_manifest(out)["config"]
+    assert (resolved["seed"], resolved["workers"], resolved["model"], resolved["n"]) == (3, 2, "simulate", 2)
+    assert resolved["remediate"] is False and resolved["backend"] == "scripted"
+
+
+def test_every_top_level_flag_takes_one_value():
+    from negotia.cli import _build_parser
+
+    # The config splice finds the subcommand by skipping one value per flag.
+    flags = [a for a in _build_parser()._actions if a.option_strings and a.dest != "help"]
+    assert [a.dest for a in flags] == ["config", "workers", "cache_dir", "api_base", "model", "prompts_dir"]
+    assert all(a.nargs is None and a.const is None for a in flags)
+
+
+@pytest.mark.parametrize("command", ["filter", "search"])
+def test_probed_manifest_records_p_c(tmp_path, command):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
+    ranked = tmp_path / "ranked.json"
+    ranked.write_text(json.dumps([{"id": f"ex-{q}", "value_impact": q} for q in (0.9, 0.8, 0.7)]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p_c": 0.5}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [command, "--pool", str(pool_path), "--probe-size", "2", "--out", str(out),
+            *(["--sample", "3"] if command == "filter" else ["--ranked", str(ranked), "--k", "2"])]
+    for config, flags, p_c in (([], [], 0.6), (["--config", str(cfg)], [], 0.5),
+                               (["--config", str(cfg)], ["--p-c", "0.7"], 0.7)):
+        assert run([*config, *argv, *flags]) == 0
+        assert read_manifest(out)["config"]["p_c"] == p_c
+
+
+@pytest.mark.parametrize("flag", ["--pool", "--set"])
+def test_simulate_takes_pool_and_set_together(tmp_path, capsys, flag):
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"members": ["ghost"]}), encoding="utf-8")
+    value = {"--pool": str(tmp_path / "absent.jsonl"), "--set": str(set_path)}[flag]
+    out = tmp_path / "c.jsonl"
+    assert run(["simulate", "--remediate", "on", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--pool" in err and "--set" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Checks over the source tree: the names the benchmark's tracer wraps and
-the library calls the benchmark makes must stay, no handler may catch
-every exception, the CLI reports every exception class the package defines,
-and no module imports a private name of another."""
+the library calls the benchmark makes must stay, the README's CLI examples
+parse, no handler may catch every exception, the CLI reports every
+exception class the package defines, and no module imports a private name
+of another."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import shlex
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,23 @@ def test_benchmark_library_calls(monkeypatch, tmp_path):
         evaluator=session, bounds=inputs.BOUNDS, dialogue_id="remote-0",
     )
     assert dialogue.error is None and dialogue.outcome is not None
+
+
+def test_readme_cli_examples_parse():
+    from negotia import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("negotia ")
+    ]
+    parser = cli._build_parser()
+    # parse_args exits, failing the test, on a flag the parser refuses.
+    documented = {parser.parse_args(example[1:]).command for example in examples}
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(commands.choices)
 
 
 def _exception_classes() -> list[type]:
