@@ -21,7 +21,7 @@ from .core import (
     Topic,
     Turn,
 )
-from .outcome import MetricsReport, RewardWeights, evaluate_corpus, reward
+from .outcome import MetricsReport, evaluate_corpus, reward
 from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import SearchTrace, search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
@@ -52,7 +52,6 @@ __all__ = [
     "PriceBounds",
     "RemediationPoint",
     "RemediationPolicy",
-    "RewardWeights",
     "ScriptedWorld",
     "SearchTrace",
     "SimulationConfig",

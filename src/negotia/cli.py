@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from .core import (
     load_exemplars,
     turns_from_objs,
 )
-from .outcome import RewardWeights, evaluate_corpus
+from .outcome import evaluate_corpus
 from .prompts import TemplateError, TemplateStore
 from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import ImpactFn, search_optimal_set, split_candidates
@@ -101,11 +102,16 @@ def _read_object(path: str, **required: type) -> dict:
     return obj
 
 
-def _scalar(path: str, key: str, value):
-    """A config value, which must be a JSON string or number."""
+def _scalar(path: str, key: str, value, kind: type = str):
+    """A config value, which must be a JSON string or number, read as a flag
+    of type ``kind`` reads its text."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise CorpusError(f"{path}: {key!r} must be a JSON string or number")
-    return value
+    text = str(value)
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{path}: {key!r} is an invalid {kind.__name__} value: {text!r}") from None
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -148,18 +154,16 @@ def _bargain(path: str, cfg: dict) -> tuple[ScriptedWorld, int]:
     w = dict(cfg.get("world", {}))
     bounds = w.pop("bounds", {})
     default = ScriptedWorld(bounds=DEFAULT_BOUNDS)
+    read = {}
     for section, given, base in (("world", w, default), ("world.bounds", bounds, DEFAULT_BOUNDS)):
         unknown = sorted(set(given) - {f.name for f in fields(base)})
         if unknown:
             raise UsageError(f"unknown {section} key: {', '.join(unknown)}")
-        for key, value in given.items():
-            _scalar(path, f"{section}.{key}", value)
-    world = replace(
-        default,
-        bounds=replace(DEFAULT_BOUNDS, **{k: int(v) for k, v in bounds.items()}),
-        **{k: type(getattr(default, k))(v) for k, v in w.items()},
-    )
-    return world, int(_scalar(path, "max_turns", cfg.get("max_turns", SimulationConfig.max_turns)))
+        read[section] = {
+            k: _scalar(path, f"{section}.{k}", v, type(getattr(base, k))) for k, v in given.items()
+        }
+    world = replace(default, bounds=replace(DEFAULT_BOUNDS, **read["world.bounds"]), **read["world"])
+    return world, _scalar(path, "max_turns", cfg.get("max_turns", SimulationConfig.max_turns), int)
 
 
 def _backend_session(args: argparse.Namespace) -> tuple[BackendSession, Optional[TemplateStore]]:
@@ -178,11 +182,14 @@ def _backend_session(args: argparse.Namespace) -> tuple[BackendSession, Optional
 
 
 def _from_pool(pool: list[Exemplar], ids: list, what: str) -> tuple[Exemplar, ...]:
-    """The exemplars the ids name, in their order; an id not in the pool is a usage error."""
+    """The exemplars the ids name, in their order; an id not in the pool, or repeated, is a usage error."""
     by_id = {e.id: e for e in pool}
     missing = [str(i) for i in ids if not isinstance(i, str) or i not in by_id]
     if missing:
         raise UsageError(f"{what} not in pool: {', '.join(missing)}")
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise UsageError(f"{what} repeated: {', '.join(repeated)}")
     return tuple(by_id[i] for i in ids)
 
 
@@ -199,6 +206,8 @@ def _load_set(pool_path: str, set_path: str) -> tuple[Exemplar, ...]:
 def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
     if (args.pool is None) != (args.set is None):
         raise UsageError("simulate takes --pool and --set together or not at all")
+    if args.pool is not None and not args.remediate:
+        raise UsageError("simulate takes --pool and --set only with --remediate on")
     world, max_turns = _bargain(args.config, cfg)
     session, templates = _backend_session(args)
 
@@ -254,9 +263,8 @@ def _impact_fn(
     """The value impact of pool id sets over one probe set."""
     session = BackendSession(kind="scripted")
     sim_cfg = SimulationConfig(p_c=args.p_c, max_turns=max_turns, seed=args.seed)
-    rollout_fn = make_scripted_rollout_fn(world, sim_cfg, RewardWeights())
-    silver = RemediationPolicy(exemplars=(), backend=session)
-    probe = build_probe_set(world, sim_cfg, args.probe_size, silver, rollout_fn)
+    rollout_fn = make_scripted_rollout_fn(world, sim_cfg)
+    probe = build_probe_set(world, sim_cfg, args.probe_size, session, rollout_fn)
     return make_impact_fn(pool, probe, session, rollout_fn)
 
 

@@ -11,7 +11,6 @@ from .core import Dialogue, NegotiationOutcome, PriceBounds
 from .prompts import TemplateStore, render, render_conversation
 
 __all__ = [
-    "RewardWeights",
     "MetricsReport",
     "normalize_price",
     "reward",
@@ -20,17 +19,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    """Coefficients of the composite reward; defaults follow the reference
-    configuration (0.7, 0.1, 0.1, 0.1)."""
-
-    alpha: float = 0.7
-    beta: float = 0.1
-    gamma: float = 0.1
-    epsilon: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,19 +32,16 @@ class MetricsReport:
 
 def normalize_price(price: int, bounds: PriceBounds) -> float:
     """Map a price onto [0, 1] over the negotiation's live interval."""
-    span = bounds.seller_init - bounds.buyer_init
-    if span == 0:
-        raise ValueError("degenerate price interval: seller_init == buyer_init")
-    v = (price - bounds.buyer_init) / span
+    v = (price - bounds.buyer_init) / (bounds.seller_init - bounds.buyer_init)
     return min(max(v, 0.0), 1.0)
 
 
-def reward(outcome: NegotiationOutcome, bounds: PriceBounds, weights: RewardWeights) -> float:
+def reward(outcome: NegotiationOutcome, bounds: PriceBounds) -> float:
     """Composite task+social reward.
 
-    R = alpha * v_price + beta * b_deal + gamma * trust + epsilon * business,
-    with b_deal in {+1, -1}. v_price is 0 by convention when there is no
-    deal, so the deal bonus/penalty is carried solely by the beta term.
+    R = 0.7 * v_price + 0.1 * b_deal + 0.1 * trust + 0.1 * business, with
+    b_deal in {+1, -1}. v_price is 0 by convention when there is no deal, so
+    the deal bonus/penalty is carried solely by the b_deal term.
     """
     if outcome.deal:
         if outcome.price is None:
@@ -66,12 +51,7 @@ def reward(outcome: NegotiationOutcome, bounds: PriceBounds, weights: RewardWeig
     else:
         v_price = 0.0
         b_deal = -1.0
-    return (
-        weights.alpha * v_price
-        + weights.beta * b_deal
-        + weights.gamma * outcome.trust_delta
-        + weights.epsilon * outcome.business_delta
-    )
+    return 0.7 * v_price + 0.1 * b_deal + 0.1 * outcome.trust_delta + 0.1 * outcome.business_delta
 
 
 # ---------------------------------------------------------------------------

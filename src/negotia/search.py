@@ -82,7 +82,8 @@ def search_optimal_set(
     The initial set's own impact seeds the best tracker, so the search is
     total even when no replacement improves. Candidate iteration strictly
     follows the given rank order; the trace records every evaluation in
-    commit order so this is assertable. Errors from ``impact_fn`` propagate.
+    commit order so this is assertable. With distinct ids no set is reached
+    twice, so each evaluation is one ``impact_fn`` call, whose errors propagate.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -91,15 +92,8 @@ def search_optimal_set(
 
     k = len(s_init)
     trace = SearchTrace()
-    impact_cache: dict[tuple[str, ...], float] = {}
-
-    def impact_of(members: tuple[str, ...]) -> float:
-        if members not in impact_cache:
-            impact_cache[members] = impact_fn(members)
-        return impact_cache[members]
-
     root = tuple(s_init)
-    root_impact = impact_of(root)
+    root_impact = impact_fn(root)
     trace.evaluations.append(Evaluation(members=root, impact=root_impact, parent=None, delta=0.0))
     best = ExemplarSet(members=root, value_impact=root_impact)
 
@@ -126,7 +120,7 @@ def search_optimal_set(
                 + (candidate,)
                 + node.members[node.replace_index + 1 :]
             )
-            child_impact = impact_of(child)
+            child_impact = impact_fn(child)
             d = child_impact - node.impact  # non-positive counts as a failure
             trace.evaluations.append(
                 Evaluation(members=child, impact=child_impact, parent=node.members, delta=d)

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .backends import BackendSession, ScriptedWorld, derive_seed
 from .core import Exemplar
-from .outcome import RewardWeights, reward
+from .outcome import reward
 from .remediate import RemediationPolicy, remediate
 from .search import ImpactFn
 from .simulation import (
@@ -61,13 +61,11 @@ class ValueEstimate:
     per_point: tuple[float, ...]
 
 
-def make_scripted_rollout_fn(
-    world: ScriptedWorld, config: SimulationConfig, weights: RewardWeights
-) -> RolloutFn:
+def make_scripted_rollout_fn(world: ScriptedWorld, config: SimulationConfig) -> RolloutFn:
     def run(point: ViolationPoint, rewrite: str) -> float:
         d = continue_rollout(world, config, point, rewrite)
         assert d.outcome is not None
-        return reward(d.outcome, world.bounds, weights)
+        return reward(d.outcome, world.bounds)
 
     return run
 
@@ -76,19 +74,18 @@ def build_probe_set(
     world: ScriptedWorld,
     config: SimulationConfig,
     n_points: int,
-    silver_policy: RemediationPolicy,
+    backend: BackendSession,
     rollout_fn: RolloutFn,
 ) -> tuple[RemediationPoint, ...]:
     """Synthesize probe points by rolling out to a first violation.
 
     Rollouts that finish without a violation are discarded and regenerated
     with a fresh derived seed, up to PROBE_RETRY_BUDGET attempts per point.
-    Each point's silver rollout runs here, once.
+    Each point's silver (zero-shot) rewrite and its rollout run here, once.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    if silver_policy.exemplars:
-        raise ValueError("the silver policy must be zero-shot (no exemplars)")
+    silver_policy = RemediationPolicy(exemplars=(), backend=backend)
 
     points: list[RemediationPoint] = []
     for i in range(n_points):

@@ -7,9 +7,7 @@ import pytest
 
 from negotia.backends import BackendSession, ScriptedWorld
 from negotia.core import Exemplar, PriceBounds, Speaker, Turn
-from negotia.outcome import RewardWeights
 from negotia.prompts import TemplateStore
-from negotia.remediate import RemediationPolicy
 from negotia.simulation import SimulationConfig
 from negotia.valueimpact import build_probe_set, make_scripted_rollout_fn
 
@@ -55,18 +53,12 @@ def quality_pool() -> list[Exemplar]:
 
 
 @pytest.fixture(scope="session")
-def weights() -> RewardWeights:
-    return RewardWeights()
-
-
-@pytest.fixture(scope="session")
-def rollout_fn(world, weights):
+def rollout_fn(world):
     config = SimulationConfig(p_c=0.6, seed=42)
-    return make_scripted_rollout_fn(world, config, weights)
+    return make_scripted_rollout_fn(world, config)
 
 
 @pytest.fixture(scope="session")
 def probe(world, scripted_session, rollout_fn):
     config = SimulationConfig(p_c=0.6, seed=42)
-    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
-    return build_probe_set(world, config, 8, silver, rollout_fn)
+    return build_probe_set(world, config, 8, scripted_session, rollout_fn)

@@ -19,9 +19,8 @@ from negotia.backends import (
 )
 from negotia.cli import run as cli_run
 from negotia.core import Exemplar, NegotiationOutcome, PriceBounds, Speaker, Turn
-from negotia.outcome import RewardWeights, reward
+from negotia.outcome import reward
 from negotia.prompts import WILDCARDS, format_icl_block, render
-from negotia.remediate import RemediationPolicy
 from negotia.search import search_optimal_set
 from negotia.selectors import HashedNgramEmbedder, exemplar_text, select_retrieval
 from negotia.simulation import SimulationConfig, simulate
@@ -36,13 +35,13 @@ def _report(criterion: int, ok: bool, detail: str = "") -> None:
     print(f"criterion {criterion}: {status}{suffix}")
 
 
-def test_criterion_1_reward_exactness(bounds, weights):
+def test_criterion_1_reward_exactness(bounds):
     cases = [
         (NegotiationOutcome(deal=True, price=4000, trust_delta=1, business_delta=0), 0.55),
         (NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1), -0.3),
         (NegotiationOutcome(deal=True, price=5000, trust_delta=1, business_delta=1), 1.0),
     ]
-    errors = [abs(reward(o, bounds, weights) - expected) for o, expected in cases]
+    errors = [abs(reward(o, bounds) - expected) for o, expected in cases]
     ok = all(e < 1e-12 for e in errors)
     _report(1, ok, f"max error {max(errors):.2e}")
     assert ok
@@ -50,8 +49,7 @@ def test_criterion_1_reward_exactness(bounds, weights):
 
 def test_criterion_2_identity_zero(world, scripted_session, rollout_fn):
     config = SimulationConfig(p_c=0.6, seed=42)
-    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
-    points = build_probe_set(world, config, 20, silver, rollout_fn)
+    points = build_probe_set(world, config, 20, scripted_session, rollout_fn)
     values = [value_of_remediation(p, p.silver_y, rollout_fn) for p in points]
     ok = all(v == 0.0 for v in values)
     _report(2, ok, f"{len(points)} points")
@@ -216,7 +214,7 @@ def test_criterion_9_prompt_fidelity(templates):
     assert ok
 
 
-def test_criterion_10_end_to_end_direction(world, scripted_session, weights):
+def test_criterion_10_end_to_end_direction(world, scripted_session):
     def mean_reward(p_c: float, remediator) -> float:
         total = 0.0
         for i in range(200):
@@ -229,7 +227,7 @@ def test_criterion_10_end_to_end_direction(world, scripted_session, weights):
                 scripted_session, scripted_session, scripted_session, config,
                 remediator=remediator, world=world, dialogue_id=f"d{i}",
             )
-            total += reward(d.outcome, world.bounds, weights)
+            total += reward(d.outcome, world.bounds)
         return total / 200
 
     clean = mean_reward(0.0, None)

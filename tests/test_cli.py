@@ -337,6 +337,28 @@ def test_search_refuses_ranked_ids_not_in_pool(tmp_path, capsys):
     assert capsys.readouterr().err == "error: ranked ids not in pool: nope, gone\n"
 
 
+def test_repeated_ranked_ids_and_set_members_are_usage_errors(tmp_path, capsys):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
+    ranked = tmp_path / "ranked.json"
+    ids = ["ex-0.9", "ex-0.8", "ex-0.7", "ex-0.7"]
+    ranked.write_text(json.dumps([{"id": eid, "value_impact": 0.0} for eid in ids]), encoding="utf-8")
+    best = tmp_path / "best.json"
+    assert run(["search", "--ranked", str(ranked), "--pool", str(pool_path), "--k", "2",
+                "--probe-size", "2", "--out", str(best)]) == 1
+    assert capsys.readouterr().err == "error: ranked ids repeated: ex-0.7\n"
+    assert not best.exists()
+
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"members": ["ex-0.8", "ex-0.9", "ex-0.8"]}), encoding="utf-8")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"history": [], "violation_text": "x"}), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    for argv in (["remediate", "--in", str(query)], ["simulate", "--remediate", "on", "--out", str(out)]):
+        assert run([*argv, "--pool", str(pool_path), "--set", str(set_path)]) == 1
+        assert capsys.readouterr().err == "error: set members repeated: ex-0.8\n"
+    assert not out.exists()
+
+
 def test_evaluate_report(tmp_path):
     corpus = simulate_corpus(tmp_path)
     report_path = tmp_path / "report.json"
@@ -495,8 +517,12 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
         ({"n": [1]}, 2, "'n' must be a JSON string or number"),
         ({"seed": 1.7}, 1, "argument --seed: invalid int value: '1.7'"),
         ({"seed": None}, 2, "'seed' must be a JSON string or number"),
+        ({"max_turns": 5.5}, 1, "'max_turns' is an invalid int value: '5.5'"),
+        ({"world": {"close_tolerance": 80.5}}, 1, "'world.close_tolerance' is an invalid int value: '80.5'"),
+        ({"max_turns": "x"}, 1, "'max_turns' is an invalid int value: 'x'"),
     ],
-    ids=["remediate-true", "backend-number", "n-array", "seed-fraction", "seed-null"],
+    ids=["remediate-true", "backend-number", "n-array", "seed-fraction", "seed-null",
+         "max-turns-fraction", "close-tolerance-fraction", "max-turns-text"],
 )
 def test_config_value_the_flag_would_refuse_is_refused(tmp_path, capsys, config, code, message):
     cfg = tmp_path / "cfg.json"
@@ -567,6 +593,14 @@ def test_simulate_takes_pool_and_set_together(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_simulate_refuses_pool_and_set_without_remediation(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert run(["simulate", "--pool", str(tmp_path / "nowhere.jsonl"),
+                "--set", str(tmp_path / "nowhere.json"), "--out", str(out)]) == 1
+    assert "--remediate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "world, key",
     [
@@ -594,6 +628,17 @@ def test_world_config_overrides_defaults(tmp_path):
     world = read_manifest(out)["config"]["world"]
     assert world["close_tolerance"] == 80 and world["goodwill"] == 2.0
     assert world["bounds"] == {"cost_price": 3500, "seller_init": 6000, "buyer_init": 3000}
+
+
+def test_world_bounds_value_the_flag_would_refuse_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": {"bounds": {"seller_init": 6000.5}}}), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(["--config", str(cfg), "simulate", "--n", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: 'world.bounds.seller_init' is an invalid int value: '6000.5'\n"
+    )
+    assert not out.exists()
 
 
 SESSION_LINES = {

@@ -10,7 +10,6 @@ from negotia.backends import BackendError, BackendSession
 from negotia.core import Dialogue, NegotiationOutcome, PriceBounds, Speaker, Topic, Turn
 from negotia.outcome import (
     MetricsReport,
-    RewardWeights,
     assess_outcome,
     evaluate_corpus,
     normalize_price,
@@ -31,24 +30,24 @@ def test_normalize_price_clamps(price):
     assert 0.0 <= normalize_price(price, b) <= 1.0
 
 
-def test_reward_cases(bounds, weights):
+def test_reward_cases(bounds):
     deal = NegotiationOutcome(deal=True, price=4000, trust_delta=1, business_delta=0)
-    assert reward(deal, bounds, weights) == pytest.approx(0.55)
+    assert reward(deal, bounds) == pytest.approx(0.55)
     walk = NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1)
-    assert reward(walk, bounds, weights) == pytest.approx(-0.3)
+    assert reward(walk, bounds) == pytest.approx(-0.3)
     top = NegotiationOutcome(deal=True, price=5000, trust_delta=1, business_delta=1)
-    assert reward(top, bounds, weights) == pytest.approx(1.0)
+    assert reward(top, bounds) == pytest.approx(1.0)
 
 
-def test_reward_requires_price_for_deal(bounds, weights):
+def test_reward_requires_price_for_deal(bounds):
     with pytest.raises(ValueError):
-        reward(NegotiationOutcome(deal=True), bounds, weights)
+        reward(NegotiationOutcome(deal=True), bounds)
 
 
-def test_reward_range(bounds, weights):
-    lows = reward(NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1), bounds, weights)
+def test_reward_range(bounds):
+    lows = reward(NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1), bounds)
     highs = reward(
-        NegotiationOutcome(deal=True, price=10**7, trust_delta=1, business_delta=1), bounds, weights
+        NegotiationOutcome(deal=True, price=10**7, trust_delta=1, business_delta=1), bounds
     )
     assert lows == pytest.approx(-0.3)
     assert highs == pytest.approx(1.0)

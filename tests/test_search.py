@@ -1,8 +1,10 @@
-"""Traversal mechanics: ordering, pruning, caching, and failure handling."""
+"""Traversal mechanics: ordering, pruning, one evaluation per set, and failure handling."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from negotia.search import search_optimal_set, split_candidates
 
@@ -97,6 +99,34 @@ def test_impact_cache_deduplicates():
     fn = table_impact(table)
     search_optimal_set(["a", "b"], ["c", "d"], fn, m=5)
     assert len(fn.calls) == len(set(fn.calls))
+
+
+@given(
+    k=st.integers(1, 5),
+    n_cand=st.integers(1, 8),
+    m=st.integers(1, 4),
+    impacts=st.sampled_from([(0.0, 0.5), (0.0, 0.25, 0.5, 1.0), None]),
+    data=st.data(),
+)
+def test_each_set_is_evaluated_at_most_once(k, n_cand, m, impacts, data):
+    # Distinct ids never lead the traversal back to a set it has asked for,
+    # with tied impacts as with untied ones.
+    value = st.floats(-1.0, 1.0) if impacts is None else st.sampled_from(impacts)
+    drawn = {}
+    calls = []
+
+    def fn(members):
+        calls.append(members)
+        if members not in drawn:
+            drawn[members] = data.draw(value, label=f"impact{members}")
+        return drawn[members]
+
+    ids = [f"e{i}" for i in range(k + n_cand)]
+    best, trace = search_optimal_set(ids[:k], ids[k:], fn, m)
+    assert len(calls) == len(set(calls))
+    assert [ev.members for ev in trace.evaluations] == calls
+    assert best.value_impact == max(ev.impact for ev in trace.evaluations)
+    assert drawn[best.members] == best.value_impact
 
 
 def test_impact_error_propagates_and_is_not_a_pruning():

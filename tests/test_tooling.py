@@ -1,8 +1,8 @@
 """Checks over the source tree: the names the benchmark's tracer wraps and
 the library calls the benchmark makes must stay, the README's CLI examples
-parse, no handler may catch every exception, the CLI reports every
-exception class the package defines, and no module imports a private name
-of another."""
+parse, every exported name exists, no handler may catch every exception,
+the CLI reports every exception class the package defines, and no module
+imports a private name of another."""
 
 from __future__ import annotations
 
@@ -85,11 +85,24 @@ def test_readme_cli_examples_parse():
     assert documented == set(commands.choices)
 
 
+def _modules() -> list:
+    """The package and each of its modules."""
+    return [
+        importlib.import_module("negotia" if path.stem == "__init__" else f"negotia.{path.stem}")
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+    ]
+
+
+@pytest.mark.parametrize("module", _modules(), ids=lambda m: m.__name__)
+def test_every_exported_name_exists(module):
+    # A removed public name must leave the export lists with it.
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 def _exception_classes() -> list[type]:
     """Every exception class defined under src/negotia, but the rollout's own _Halt."""
     found = []
-    for path in sorted((ROOT / "src" / "negotia").glob("*.py")):
-        module = importlib.import_module("negotia" if path.stem == "__init__" else f"negotia.{path.stem}")
+    for module in _modules():
         found += [
             obj
             for obj in vars(module).values()

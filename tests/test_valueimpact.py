@@ -17,8 +17,6 @@ from negotia.valueimpact import (
     value_of_remediation,
 )
 
-from conftest import make_exemplar
-
 
 def test_build_probe_set_shape(probe):
     assert len(probe) == 8
@@ -34,28 +32,22 @@ def test_build_probe_set_distinct_seeds(probe):
 
 
 def test_build_probe_set_rejects_bad_args(world, scripted_session, rollout_fn):
-    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
     with pytest.raises(ValueError):
-        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 0, silver, rollout_fn)
-    loaded = RemediationPolicy(exemplars=(make_exemplar("a", 0.5),), backend=scripted_session)
-    with pytest.raises(ValueError, match="zero-shot"):
-        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 2, loaded, rollout_fn)
+        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 0, scripted_session, rollout_fn)
 
 
 def test_build_probe_set_exhausts_retry_budget(world, scripted_session, rollout_fn):
-    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
     # p_c=0 can never produce a violation, so regeneration must give up.
     with pytest.raises(RuntimeError, match="regenerations"):
-        build_probe_set(world, SimulationConfig(p_c=0.0, seed=1), 1, silver, rollout_fn)
+        build_probe_set(world, SimulationConfig(p_c=0.0, seed=1), 1, scripted_session, rollout_fn)
 
 
 def test_build_probe_set_propagates_silver_rollout_errors(world, scripted_session):
     def dead(point, rewrite):
         raise RuntimeError("bad point")
 
-    silver = RemediationPolicy(exemplars=(), backend=scripted_session)
     with pytest.raises(RuntimeError, match="bad point"):
-        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 2, silver, dead)
+        build_probe_set(world, SimulationConfig(p_c=0.6, seed=1), 2, scripted_session, dead)
 
 
 def test_value_identity_and_caching(probe, rollout_fn):
