@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from .core import NegotiationOutcome, PriceBounds, format_money
@@ -63,7 +63,7 @@ class BackendSession:
     model_name: Optional[str] = None
     temperature: float = 1.0
     max_tokens: int = 256
-    cache_dir: Optional[Path] = None
+    cache_dir: Optional[str | os.PathLike] = None
     retries: int = 3
     backoff_base: float = 1.0
     transport: Optional[Callable[[dict], dict]] = None
@@ -87,6 +87,10 @@ def derive_seed(base: int, *parts: object) -> int:
 
 # ---------------------------------------------------------------------------
 # Remote chat client
+
+# The cache key's encoder, built once: its output equals
+# json.dumps(body, sort_keys=True, ensure_ascii=False).
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 def _http_transport(session: BackendSession) -> Callable[[dict], dict]:
@@ -118,7 +122,8 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
     """Run one chat completion, serving repeats from the on-disk cache.
 
     Cache entries are content-addressed by a digest of the canonical
-    serialization of the request body (model, generation params, messages).
+    serialization of the request body (model, generation params, messages);
+    a hit is one read of ``<digest>.json``, whose ``content`` must be a string.
     Each writer renames its own temp file into place, so concurrent writers
     of one key never collide; the last rename wins with identical contents.
     Only a transport's ``NetworkError`` is retried; a malformed response or
@@ -135,17 +140,21 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         "max_tokens": session.max_tokens,
         "messages": messages,
     }
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    ).hexdigest()
+    digest = hashlib.sha256(_KEY_ENCODER.encode(body).encode("utf-8")).hexdigest()
     cache_path = None
     if session.cache_dir is not None:
-        cache_path = Path(session.cache_dir) / f"{digest}.json"
-        if cache_path.exists():
-            try:
-                return json.loads(cache_path.read_text(encoding="utf-8"))["content"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise BackendError(f"unreadable cache entry {cache_path}: {exc!r}") from exc
+        cache_path = os.path.join(session.cache_dir, f"{digest}.json")
+        try:
+            with open(cache_path, encoding="utf-8") as entry:
+                content = json.load(entry)["content"]
+        except FileNotFoundError:
+            pass  # a miss: ask the transport
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BackendError(f"unreadable cache entry {cache_path}: {exc!r}") from exc
+        else:
+            if isinstance(content, str):
+                return content
+            raise BackendError(f"unreadable cache entry {cache_path}: content is {content!r}")
 
     transport = session.transport or _http_transport(session)
 
@@ -172,10 +181,11 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         raise BackendError(f"malformed provider response: content is {content!r}")
 
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_name(f"{digest}.tmp{os.getpid()}-{threading.get_ident()}")
-        tmp.write_text(json.dumps({"content": content}, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(cache_path)
+        os.makedirs(session.cache_dir, exist_ok=True)
+        tmp = os.path.join(session.cache_dir, f"{digest}.tmp{os.getpid()}-{threading.get_ident()}")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(json.dumps({"content": content}, ensure_ascii=False))
+        os.replace(tmp, cache_path)
     return content
 
 
@@ -204,6 +214,10 @@ class ScriptedWorld:
     def __post_init__(self) -> None:
         if not (0.0 < self.concession_buyer < 1.0 and 0.0 < self.concession_seller < 1.0):
             raise ValueError("concession rates must lie in (0, 1)")
+        if not (0.0 < self.goodwill < math.inf):
+            raise ValueError(f"goodwill must be finite and above 0, not {self.goodwill!r}")
+        if self.close_tolerance < 0:
+            raise ValueError(f"close_tolerance must be at least 0, not {self.close_tolerance!r}")
 
 
 @dataclass

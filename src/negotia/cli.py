@@ -162,7 +162,10 @@ def _bargain(path: str, cfg: dict) -> tuple[ScriptedWorld, int]:
         read[section] = {
             k: _scalar(path, f"{section}.{k}", v, type(getattr(base, k))) for k, v in given.items()
         }
-    world = replace(default, bounds=replace(DEFAULT_BOUNDS, **read["world.bounds"]), **read["world"])
+    try:
+        world = replace(default, bounds=replace(DEFAULT_BOUNDS, **read["world.bounds"]), **read["world"])
+    except ValueError as exc:  # a world or bounds the scripted rules refuse
+        raise UsageError(f"{path}: {exc}") from None
     return world, _scalar(path, "max_turns", cfg.get("max_turns", SimulationConfig.max_turns), int)
 
 
@@ -412,12 +415,34 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
+def _count(text: str) -> int:
+    """The value of a flag that counts something: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """The value of a probability flag: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Every setting's type, choices and default. Each top-level flag takes
     exactly one value, which `_with_config` relies on."""
     parser = argparse.ArgumentParser(prog="negotia")
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_count, default=1)
     parser.add_argument("--cache-dir")
     parser.add_argument("--api-base")
     parser.add_argument("--model")
@@ -425,8 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--p-c", type=float, default=0.4)
+    p.add_argument("--n", type=_count, default=10)
+    p.add_argument("--p-c", type=_probability, default=0.4)
     p.add_argument("--remediate", type=_on_off, default=False, metavar="{on,off}")
     p.add_argument("--backend", default="scripted", choices=["scripted", "remote"])
     p.add_argument("--seed", type=int, default=0)
@@ -442,24 +467,24 @@ def _build_parser() -> argparse.ArgumentParser:
     # filter and search score exemplars over the same kind of probe set.
     probed = argparse.ArgumentParser(add_help=False)
     probed.add_argument("--pool", required=True)
-    probed.add_argument("--probe-size", type=int, default=8)
-    probed.add_argument("--p-c", type=float, default=0.6)
+    probed.add_argument("--probe-size", type=_count, default=8)
+    probed.add_argument("--p-c", type=_probability, default=0.6)
     probed.add_argument("--seed", type=int, default=0)
     probed.add_argument("--out", required=True)
 
     p = sub.add_parser("filter", parents=[probed])
-    p.add_argument("--sample", type=int, required=True)
+    p.add_argument("--sample", type=_count, required=True)
 
     p = sub.add_parser("search", parents=[probed])
     p.add_argument("--ranked", required=True)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--k", type=_count, default=8)
+    p.add_argument("--m", type=_count, default=2)
     p.add_argument("--trace")
 
     p = sub.add_parser("select")
     p.add_argument("--strategy", required=True, choices=["random", "retrieval"])
     p.add_argument("--pool", required=True)
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=_count, default=8)
     p.add_argument("--query")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -9,7 +9,7 @@ literal replacement of the declared wildcards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -58,9 +58,12 @@ class TemplateError(Exception):
 class PromptTemplate:
     id: str
     segments: tuple[dict, ...]  # ordered {role, content} messages
+    # The wildcards the segments hold, found once: a template never changes.
+    wildcards: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def wildcards(self) -> set[str]:
-        return {w for seg in self.segments for w in WILDCARDS if w in seg["content"]}
+    def __post_init__(self) -> None:
+        found = frozenset(w for seg in self.segments for w in WILDCARDS if w in seg["content"])
+        object.__setattr__(self, "wildcards", found)
 
 
 class TemplateStore:
@@ -96,7 +99,7 @@ def render(template: PromptTemplate, bindings: dict[str, str]) -> list[dict]:
     Every wildcard present in the template must be bound; no wildcard may
     remain in the output.
     """
-    needed = template.wildcards()
+    needed = template.wildcards
     missing = sorted(needed - set(bindings))
     if missing:
         raise TemplateError(f"template {template.id!r} missing bindings: {', '.join(missing)}")

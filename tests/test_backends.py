@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from negotia.backends import (
     BackendError,
@@ -121,7 +128,11 @@ def test_chat_malformed_response_is_backend_error(tmp_path, response):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("entry", ['{"content": "cut sh', '{"text": "x"}', "[1, 2]"])
+@pytest.mark.parametrize(
+    "entry",
+    ['{"content": "cut sh', '{"text": "x"}', "[1, 2]",
+     '{"content": null}', '{"content": 5}', '{"content": ["a"]}'],
+)
 def test_chat_unreadable_cache_entry_is_backend_error(tmp_path, entry):
     session = remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path)
     msgs = [{"role": "user", "content": "hi"}]
@@ -240,6 +251,43 @@ def test_chat_cache_key_is_stable(tmp_path):
     ]
 
 
+@given(
+    model=st.text(max_size=8),
+    messages=st.lists(
+        st.fixed_dictionaries({"role": st.sampled_from(["system", "user"]), "content": st.text()}),
+        min_size=1, max_size=3,
+    ),
+)
+def test_chat_cache_file_is_named_by_the_request_digest(model, messages):
+    # The oracle is the key's original formula; st.text() draws non-BMP
+    # characters too, which ensure_ascii=False writes as themselves.
+    body = {"model": model, "temperature": 1.0, "max_tokens": 256, "messages": messages}
+    expected = hashlib.sha256(
+        json.dumps(body, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    ).hexdigest()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        session = BackendSession(
+            kind="remote", endpoint="http://example.invalid/v1", model_name=model,
+            cache_dir=cache_dir, transport=lambda body: ok_response("answer"),
+        )
+        assert chat(session, messages) == "answer"
+        assert os.listdir(cache_dir) == [f"{expected}.json"]
+
+
+@pytest.mark.parametrize("as_type", [str, Path], ids=["str", "Path"])
+def test_chat_cache_hit_makes_no_transport_call(tmp_path, as_type):
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path), msgs) == "answer"
+
+    def unreachable(body):
+        raise AssertionError("a cache hit reached the transport")
+
+    assert chat(remote_session(unreachable, cache_dir=as_type(tmp_path)), msgs) == "answer"
+    assert chat(remote_session(lambda body: ok_response("other"), cache_dir=as_type(tmp_path)),
+                [{"role": "user", "content": "other"}]) == "other"
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_chat_cache_concurrent_writers(tmp_path):
     threads = 8
     for trial in range(10):
@@ -340,3 +388,19 @@ def test_world_parameter_validation(bounds):
         ScriptedWorld(bounds=bounds, concession_buyer=1.5)
     with pytest.raises(ValueError):
         ScriptedWorld(bounds=bounds, concession_seller=0.0)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"goodwill": float("nan")}, "goodwill must be finite and above 0"),
+        ({"goodwill": float("inf")}, "goodwill must be finite and above 0"),
+        ({"goodwill": 0.0}, "goodwill must be finite and above 0"),
+        ({"goodwill": -5.0}, "goodwill must be finite and above 0"),
+        ({"close_tolerance": -1}, "close_tolerance must be at least 0"),
+    ],
+    ids=["goodwill-nan", "goodwill-inf", "goodwill-zero", "goodwill-negative", "tolerance-negative"],
+)
+def test_world_refuses_goodwill_and_tolerance_out_of_range(bounds, params, message):
+    with pytest.raises(ValueError, match=message):
+        ScriptedWorld(bounds=bounds, **params)

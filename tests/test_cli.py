@@ -520,9 +520,13 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
         ({"max_turns": 5.5}, 1, "'max_turns' is an invalid int value: '5.5'"),
         ({"world": {"close_tolerance": 80.5}}, 1, "'world.close_tolerance' is an invalid int value: '80.5'"),
         ({"max_turns": "x"}, 1, "'max_turns' is an invalid int value: 'x'"),
+        ({"n": -3}, 1, "argument --n: must be at least 1, not '-3'"),
+        ({"workers": 0}, 1, "argument --workers: must be at least 1, not '0'"),
+        ({"p_c": 2}, 1, "argument --p-c: must lie in [0, 1], not '2'"),
     ],
     ids=["remediate-true", "backend-number", "n-array", "seed-fraction", "seed-null",
-         "max-turns-fraction", "close-tolerance-fraction", "max-turns-text"],
+         "max-turns-fraction", "close-tolerance-fraction", "max-turns-text", "n-negative",
+         "workers-zero", "p-c-above"],
 )
 def test_config_value_the_flag_would_refuse_is_refused(tmp_path, capsys, config, code, message):
     cfg = tmp_path / "cfg.json"
@@ -638,6 +642,58 @@ def test_world_bounds_value_the_flag_would_refuse_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {cfg}: 'world.bounds.seller_init' is an invalid int value: '6000.5'\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "world, message",
+    [
+        ({"goodwill": "nan"}, "goodwill must be finite and above 0, not nan"),
+        ({"goodwill": "inf"}, "goodwill must be finite and above 0, not inf"),
+        ({"goodwill": -5}, "goodwill must be finite and above 0, not -5.0"),
+        ({"close_tolerance": -100}, "close_tolerance must be at least 0, not -100"),
+        ({"bounds": {"buyer_init": 5000}}, "buyer_init must be below seller_init"),
+    ],
+    ids=["goodwill-nan", "goodwill-inf", "goodwill-negative", "tolerance-negative", "bounds-crossed"],
+)
+def test_world_the_scripted_rules_refuse_is_usage_error(tmp_path, capsys, world, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": world}), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(["--config", str(cfg), "simulate", "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--n", "-3"], "argument --n: must be at least 1, not '-3'"),
+        (["simulate", "--n", "0"], "argument --n: must be at least 1, not '0'"),
+        (["--workers", "0", "simulate"], "argument --workers: must be at least 1, not '0'"),
+        (["simulate", "--p-c", "2"], "argument --p-c: must lie in [0, 1], not '2'"),
+        (["simulate", "--p-c", "-0.1"], "argument --p-c: must lie in [0, 1], not '-0.1'"),
+        (["simulate", "--p-c", "nan"], "argument --p-c: must lie in [0, 1], not 'nan'"),
+        (["filter", "--pool", "p.jsonl", "--sample", "0"], "argument --sample: must be at least 1"),
+        (["filter", "--pool", "p.jsonl", "--sample", "4", "--probe-size", "0"],
+         "argument --probe-size: must be at least 1"),
+        (["filter", "--pool", "p.jsonl", "--sample", "4", "--p-c", "1.5"],
+         "argument --p-c: must lie in [0, 1]"),
+        (["search", "--pool", "p.jsonl", "--ranked", "r.json", "--k", "0"], "argument --k: must be at least 1"),
+        (["search", "--pool", "p.jsonl", "--ranked", "r.json", "--m", "0"], "argument --m: must be at least 1"),
+        (["select", "--strategy", "random", "--pool", "p.jsonl", "--k", "-1"],
+         "argument --k: must be at least 1"),
+        (["simulate", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["simulate", "--p-c", "x"], "argument --p-c: invalid float value: 'x'"),
+    ],
+    ids=["n-negative", "n-zero", "workers-zero", "p-c-above", "p-c-below", "p-c-nan", "sample-zero",
+         "probe-size-zero", "filter-p-c-above", "search-k-zero", "m-zero", "select-k-negative",
+         "n-text", "p-c-text"],
+)
+def test_numeric_flag_out_of_range_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

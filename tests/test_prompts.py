@@ -47,6 +47,27 @@ def test_store_alternate_directory(tmp_path, templates):
     assert other.get("buyer").segments == templates.get("buyer").segments
 
 
+@pytest.mark.parametrize("tid", TEMPLATE_IDS)
+def test_template_wildcards_are_those_its_segments_hold(templates, tid):
+    t = templates.get(tid)
+    assert t.wildcards == {w for seg in t.segments for w in WILDCARDS if w in seg["content"]}
+
+
+def test_prompts_dir_template_with_an_unbound_wildcard_is_refused(tmp_path, templates):
+    # An edited judge template that asks for a wildcard its caller never binds.
+    for tid in TEMPLATE_IDS:
+        segments = [dict(seg) for seg in templates.get(tid).segments]
+        if tid == "trust_eval":
+            segments[-1]["content"] += "\nThe last line was: $LAST_SENTENCE"
+        (tmp_path / f"{tid}.json").write_text(
+            json.dumps({"id": tid, "segments": segments}), encoding="utf-8"
+        )
+    edited = TemplateStore(tmp_path).get("trust_eval")
+    assert "$LAST_SENTENCE" in edited.wildcards
+    with pytest.raises(TemplateError, match=r"'trust_eval' missing bindings: \$LAST_SENTENCE"):
+        render(edited, {"$CONVERSATION": "buyer: hello"})
+
+
 def test_render_rejects_missing_bindings(templates):
     with pytest.raises(TemplateError, match="missing bindings"):
         render(templates.get("remediator"), {"$CONVERSATION": "x"})

@@ -1,8 +1,9 @@
 """Checks over the source tree: the names the benchmark's tracer wraps and
 the library calls the benchmark makes must stay, the README's CLI examples
 parse, every exported name exists, no handler may catch every exception,
-the CLI reports every exception class the package defines, and no module
-imports a private name of another."""
+every file opened as text names its encoding, the CLI reports every
+exception class the package defines, and no module imports a private name of
+another."""
 
 from __future__ import annotations
 
@@ -151,6 +152,53 @@ def test_no_catch_all_handlers():
         path.name: lines
         for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
         if (lines := _catch_all_handlers(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def _locale_decoded_opens(source: str) -> list[int]:
+    """Line numbers of open(), .open(), read_text() and write_text() calls
+    that pass neither ``encoding=`` nor a binary mode."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else None
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            mode = node.args[0] if node.args else None
+        elif isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+            mode = None
+        else:
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = keywords.get("mode", mode)
+        binary = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and "b" in mode.value
+        if "encoding" not in keywords and not binary:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_locale_decoded_open_detector():
+    assert _locale_decoded_opens("open(p)\nopen(p, 'w')\n") == [1, 2]
+    assert _locale_decoded_opens("path.open()\npath.read_text()\npath.write_text(s)\n") == [1, 2, 3]
+    assert _locale_decoded_opens("open(p, mode='r')\n") == [1]
+    assert _locale_decoded_opens(
+        "open(p, encoding='utf-8')\nopen(p, 'rb')\nopen(p, mode='wb')\npath.open('rb')\n"
+        "path.open('w', encoding='utf-8')\npath.read_text(encoding='utf-8')\n"
+        "path.write_text(s, encoding='utf-8')\npath.read_bytes()\n"
+    ) == []
+
+
+def test_every_text_file_names_its_encoding():
+    # A file opened without an encoding is decoded with the locale's, so a
+    # cache entry or corpus written on one machine could read differently,
+    # or not at all, on another.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (lines := _locale_decoded_opens(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
