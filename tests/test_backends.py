@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from negotia.backends import (
@@ -258,6 +258,7 @@ def test_chat_cache_key_is_stable(tmp_path):
         min_size=1, max_size=3,
     ),
 )
+@example(model="m-1", messages=[{"role": "user", "content": "N\u00e9gociez \U0001f91d \U00020000"}])
 def test_chat_cache_file_is_named_by_the_request_digest(model, messages):
     # The oracle is the key's original formula; st.text() draws non-BMP
     # characters too, which ensure_ascii=False writes as themselves.
