@@ -159,11 +159,28 @@ def _check_turn(t: Turn) -> Checked:
     problems: list[str] = []
     if not t.text:
         problems.append("empty text")
-    if t.original_text is not None and not t.violation:
-        problems.append("original_text present but violation=false")
+    elif not _encodable(t.text):
+        problems.append("text holds a lone surrogate")
+    if t.original_text is not None:
+        if not t.violation:
+            problems.append("original_text present but violation=false")
+        if not _encodable(t.original_text):
+            problems.append("original_text holds a lone surrogate")
     if t.violation and t.speaker is not Speaker.SELLER:
         problems.append("violation flagged on non-seller turn")
     return t, tuple(problems)
+
+
+def _encodable(text: object) -> bool:
+    """Whether UTF-8 can encode ``text``, when it is a str. A str can hold a
+    lone surrogate, which JSON's "\\ud83d" decodes to, and UTF-8 cannot."""
+    if type(text) is not str or text.isascii():
+        return True
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _check_run(items: Iterable, check: Callable[..., Checked]) -> tuple[tuple[Turn, ...], list[str]]:
@@ -202,6 +219,36 @@ def validate_dialogue(d: Dialogue) -> list[str]:
 # JSONL IO
 
 
+# Each record line is what json.dumps(obj, ensure_ascii=False, sort_keys=True)
+# writes for the record's object, and one encoder writes every line.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_encode_str = json.encoder.encode_basestring  # how _ENCODER writes a string
+
+_SPEAKERS = {s.value: s for s in Speaker}
+
+# The most entries one file's intern table holds. A scripted corpus has a few
+# dozen distinct turns; a remote one repeats almost none, and an unbounded
+# table would keep a key and an entry alive for each of its turns.
+_INTERN_LIMIT = 1024
+
+
+def _interner(build: Callable) -> Callable:
+    """``share(*fields)``: ``build(*fields)``, where equal fields share one
+    result, up to ``_INTERN_LIMIT`` of them. Callers check the fields' exact
+    types first, since 1, 1.0 and true are equal keys."""
+    table: dict[tuple, object] = {}
+
+    def share(*fields):
+        obj = table.get(fields)
+        if obj is None:
+            obj = build(*fields)
+            if len(table) < _INTERN_LIMIT:
+                table[fields] = obj
+        return obj
+
+    return share
+
+
 def _turn_to_obj(t: Turn) -> dict:
     obj: dict = {"speaker": t.speaker.value, "text": t.text, "violation": t.violation}
     if t.original_text is not None:
@@ -209,12 +256,34 @@ def _turn_to_obj(t: Turn) -> dict:
     return obj
 
 
-_SPEAKERS = {s.value: s for s in Speaker}
+def _turn_encoder() -> Callable[[Turn], str]:
+    """Encode turns as ``_ENCODER`` encodes their records, building each
+    distinct turn's text once: equal turns share one string, up to
+    ``_INTERN_LIMIT`` of them. Only turns whose fields have their declared
+    types are keyed, since 1, 1.0 and true are equal keys; the encoder
+    writes any other turn."""
+    table: dict[tuple, str] = {}
 
-# The most turns one file's intern table holds. A scripted corpus has a few
-# dozen distinct turns; a remote one repeats almost none, and an unbounded
-# table would keep a key and an entry alive for each of its turns.
-_INTERN_LIMIT = 1024
+    def encode(t: Turn) -> str:
+        key = speaker, text, violation, original = t.speaker, t.text, t.violation, t.original_text
+        if (type(speaker) is not Speaker or type(text) is not str or type(violation) is not bool
+                or not (original is None or type(original) is str)):
+            return _ENCODER.encode(_turn_to_obj(t))
+        line = table.get(key)
+        if line is None:
+            # The record's keys in sorted order, each string written as
+            # _ENCODER writes it.
+            line = (
+                ("{" if original is None else '{"original_text": ' + _encode_str(original) + ", ")
+                + '"speaker": ' + _encode_str(speaker)
+                + ', "text": ' + _encode_str(text)
+                + (', "violation": true}' if violation else ', "violation": false}')
+            )
+            if len(table) < _INTERN_LIMIT:
+                table[key] = line
+        return line
+
+    return encode
 
 
 def _turn_decoder() -> Callable[[dict], Checked]:
@@ -244,9 +313,13 @@ def _turn_decoder() -> Callable[[dict], Checked]:
 
 
 def _decode_turns(objs: list[dict], decode: Callable[[dict], Checked]) -> tuple[Turn, ...]:
-    if not all(isinstance(obj, dict) for obj in objs):
-        raise CorpusError("every turn must be a JSON object")
-    turns, problems = _check_run(objs, decode)
+    try:
+        turns, problems = _check_run(objs, decode)
+    except (KeyError, TypeError, ValueError):
+        # A record that is not an object fails to decode; name that first.
+        if not all(isinstance(obj, dict) for obj in objs):
+            raise CorpusError("every turn must be a JSON object") from None
+        raise
     if problems:
         raise CorpusError("; ".join(problems))
     return turns
@@ -260,8 +333,16 @@ def turns_from_objs(objs: list[dict]) -> tuple[Turn, ...]:
     return _decode_turns(objs, _turn_decoder())
 
 
-def dialogue_to_obj(d: Dialogue) -> dict:
-    """The JSON record of a dialogue, as one line of a corpus file holds it."""
+def _record_id(obj: dict) -> str:
+    rid = obj["id"]
+    if type(rid) is not str:
+        raise CorpusError("id must be a string")
+    if not _encodable(rid):
+        raise CorpusError("id holds a lone surrogate")
+    return rid
+
+
+def _dialogue_obj(d: Dialogue, turns: list) -> dict:
     obj: dict = {
         "id": d.id,
         "topic": d.topic.value,
@@ -271,7 +352,7 @@ def dialogue_to_obj(d: Dialogue) -> dict:
             "buyer_init": d.bounds.buyer_init,
         },
         "language": d.language,
-        "turns": [_turn_to_obj(t) for t in d.turns],
+        "turns": turns,
     }
     if d.outcome is not None:
         out: dict = {
@@ -287,39 +368,61 @@ def dialogue_to_obj(d: Dialogue) -> dict:
     return obj
 
 
-def _dialogue_from_obj(obj: dict, decode: Callable[[dict], Checked]) -> Dialogue:
-    outcome = None
-    if "outcome" in obj and obj["outcome"] is not None:
-        o = obj["outcome"]
-        outcome = NegotiationOutcome(
-            deal=bool(o["deal"]),
-            price=o.get("price"),
-            trust_delta=int(o.get("trust_delta", 0)),
-            business_delta=int(o.get("business_delta", 0)),
+def dialogue_to_obj(d: Dialogue) -> dict:
+    """The JSON record of a dialogue, as one line of a corpus file holds it."""
+    return _dialogue_obj(d, [_turn_to_obj(t) for t in d.turns])
+
+
+def _outcome_fields(o: dict) -> tuple:
+    deal, price = o["deal"], o.get("price")
+    trust, business = o.get("trust_delta", 0), o.get("business_delta", 0)
+    if type(deal) is not bool:
+        raise CorpusError("outcome deal must be true or false")
+    if deal and type(price) is not int:
+        raise CorpusError("a deal's price must be an integer")
+    if not deal and price is not None:
+        raise CorpusError("an outcome without a deal has no price")
+    if not (type(trust) is type(business) is int):
+        raise CorpusError("trust_delta and business_delta must be integers")
+    return deal, price, trust, business
+
+
+def _dialogue_decoder() -> Callable[[dict], Dialogue]:
+    """Decode dialogue records under the file's rules; equal turns, bounds
+    and outcomes across the records share one object each."""
+    decode_turn = _turn_decoder()
+    share_bounds = _interner(PriceBounds)
+    share_outcome = _interner(NegotiationOutcome)
+
+    def decode(obj: dict) -> Dialogue:
+        did = _record_id(obj)
+        b = obj["bounds"]
+        cost, seller, buyer = b["cost_price"], b["seller_init"], b["buyer_init"]
+        if not (type(cost) is type(seller) is type(buyer) is int):
+            raise CorpusError("bounds must be integers")
+        outcome = obj.get("outcome")
+        if outcome is not None:
+            outcome = share_outcome(*_outcome_fields(outcome))
+        turns = _decode_turns(obj["turns"], decode_turn)
+        if problems := _opener_problems(turns):
+            raise CorpusError("; ".join(problems))
+        return Dialogue(
+            id=did,
+            topic=Topic(obj["topic"]),
+            bounds=share_bounds(cost, seller, buyer),
+            turns=turns,
+            outcome=outcome,
+            language=obj.get("language", "en"),
+            error=obj.get("error"),
         )
-    b = obj["bounds"]
-    turns = _decode_turns(obj["turns"], decode)
-    if problems := _opener_problems(turns):
-        raise CorpusError("; ".join(problems))
-    return Dialogue(
-        id=obj["id"],
-        topic=Topic(obj["topic"]),
-        bounds=PriceBounds(
-            cost_price=int(b["cost_price"]),
-            seller_init=int(b["seller_init"]),
-            buyer_init=int(b["buyer_init"]),
-        ),
-        turns=turns,
-        outcome=outcome,
-        language=obj.get("language", "en"),
-        error=obj.get("error"),
-    )
+
+    return decode
 
 
-def _exemplar_to_obj(e: Exemplar) -> dict:
+def _exemplar_obj(e: Exemplar, history: list) -> dict:
     obj: dict = {
         "id": e.id,
-        "history": [_turn_to_obj(t) for t in e.history],
+        "history": history,
         "violation_text": e.violation_text,
         "remediation_text": e.remediation_text,
     }
@@ -330,38 +433,52 @@ def _exemplar_to_obj(e: Exemplar) -> dict:
     return obj
 
 
-def _exemplar_from_obj(obj: dict, decode: Callable[[dict], Checked]) -> Exemplar:
-    if not obj["violation_text"] or not obj["remediation_text"]:
-        raise CorpusError("empty text in violation_text or remediation_text")
-    return Exemplar(
-        id=obj["id"],
-        history=_decode_turns(obj["history"], decode),
-        violation_text=obj["violation_text"],
-        remediation_text=obj["remediation_text"],
-        rationale=obj.get("rationale"),
-        latent_quality=obj.get("latent_quality"),
-    )
+def _exemplar_decoder() -> Callable[[dict], Exemplar]:
+    """Decode exemplar records under the file's rules; equal history turns
+    across the records share one ``Turn``."""
+    decode_turn = _turn_decoder()
+
+    def decode(obj: dict) -> Exemplar:
+        eid = _record_id(obj)
+        violation, remediation = obj["violation_text"], obj["remediation_text"]
+        rationale, quality = obj.get("rationale"), obj.get("latent_quality")
+        if not violation or not remediation:
+            raise CorpusError("empty text in violation_text or remediation_text")
+        if not (_encodable(violation) and _encodable(remediation) and _encodable(rationale)):
+            raise CorpusError("violation_text, remediation_text or rationale holds a lone surrogate")
+        if quality is not None and type(quality) is not float and type(quality) is not int:
+            raise CorpusError("latent_quality must be a number")
+        return Exemplar(
+            id=eid,
+            history=_decode_turns(obj["history"], decode_turn),
+            violation_text=violation,
+            remediation_text=remediation,
+            rationale=rationale,
+            latent_quality=quality,
+        )
+
+    return decode
 
 
 Record = TypeVar("Record", Dialogue, Exemplar)
 
 
-def _load_jsonl(path: str | Path, from_obj: Callable[[dict, Callable], Record]) -> list[Record]:
-    """Decode every non-blank line of a JSON-lines file; ids must be unique.
-    Equal turns across the file share one ``Turn``."""
+def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[dict], Record]]) -> list[Record]:
+    """Decode every non-blank line of a JSON-lines file with one ``decoder()``
+    for the file; ids must be unique."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
     records: list[Record] = []
     seen: set[str] = set()
-    decode = _turn_decoder()
+    decode = decoder()
     with path.open(encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = from_obj(json.loads(line), decode)
+                record = decode(json.loads(line))
             except CorpusError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
@@ -373,26 +490,43 @@ def _load_jsonl(path: str | Path, from_obj: Callable[[dict, Callable], Record]) 
     return records
 
 
-def _dump_jsonl(objs: Iterable[dict], path: str | Path) -> None:
+def _dump_jsonl(lines: Iterable[str], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as f:
-        for obj in objs:
-            f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            f.write("\n")
+        f.writelines(lines)
 
 
 def load_dialogues(path: str | Path) -> list[Dialogue]:
     """Load a JSON-lines dialogue corpus, validating every record."""
-    return _load_jsonl(path, _dialogue_from_obj)
+    return _load_jsonl(path, _dialogue_decoder)
 
 
 def dump_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
-    _dump_jsonl(map(dialogue_to_obj, dialogues), path)
+    """Write a corpus, one dialogue record per line, writing each distinct
+    turn's text once."""
+    encode = _turn_encoder()
+
+    def line(d: Dialogue) -> str:
+        # "turns" is the record's last key: the encoding ends '"turns": []}'.
+        head = _ENCODER.encode(_dialogue_obj(d, []))
+        return head[:-2] + ", ".join(map(encode, d.turns)) + "]}\n"
+
+    _dump_jsonl(map(line, dialogues), path)
 
 
 def load_exemplars(path: str | Path) -> list[Exemplar]:
     """Load a JSON-lines exemplar pool, validating every record."""
-    return _load_jsonl(path, _exemplar_from_obj)
+    return _load_jsonl(path, _exemplar_decoder)
 
 
 def dump_exemplars(pool: Iterable[Exemplar], path: str | Path) -> None:
-    _dump_jsonl(map(_exemplar_to_obj, pool), path)
+    """Write a pool, one exemplar record per line, writing each distinct
+    history turn's text once."""
+    encode = _turn_encoder()
+    head = '{"history": ['
+
+    def line(e: Exemplar) -> str:
+        # "history" is the record's first key: the encoding starts with head.
+        tail = _ENCODER.encode(_exemplar_obj(e, []))[len(head):]
+        return head + ", ".join(map(encode, e.history)) + tail + "\n"
+
+    _dump_jsonl(map(line, pool), path)

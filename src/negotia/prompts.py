@@ -9,6 +9,7 @@ literal replacement of the declared wildcards.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -54,16 +55,28 @@ class TemplateError(Exception):
     """Unknown template id, missing binding, or malformed template file."""
 
 
+# Splits a text at every wildcard name, longest name first, keeping the names.
+_WILDCARD_SPLIT = re.compile(
+    "(" + "|".join(map(re.escape, sorted(WILDCARDS, key=len, reverse=True))) + ")"
+)
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     id: str
     segments: tuple[dict, ...]  # ordered {role, content} messages
-    # The wildcards the segments hold, found once: a template never changes.
+    # Found once, since a template never changes: each segment's role and its
+    # content split at its wildcards, which stand at the odd indices; and the
+    # set of wildcards the segments hold.
+    parts: tuple[tuple[str, tuple[str, ...]], ...] = field(init=False, repr=False, compare=False)
     wildcards: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        found = frozenset(w for seg in self.segments for w in WILDCARDS if w in seg["content"])
-        object.__setattr__(self, "wildcards", found)
+        parts = tuple(
+            (seg["role"], tuple(_WILDCARD_SPLIT.split(seg["content"]))) for seg in self.segments
+        )
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "wildcards", frozenset(w for _, p in parts for w in p[1::2]))
 
 
 class TemplateStore:
@@ -96,19 +109,25 @@ class TemplateStore:
 def render(template: PromptTemplate, bindings: dict[str, str]) -> list[dict]:
     """Substitute wildcards into a template, preserving message order.
 
-    Every wildcard present in the template must be bound; no wildcard may
-    remain in the output.
+    Every wildcard present in the template must be bound. Each is replaced
+    in one pass over the template's own text, so a bound value is kept as
+    written, even when it holds a wildcard's name.
     """
-    needed = template.wildcards
-    missing = sorted(needed - set(bindings))
+    missing = sorted(template.wildcards - set(bindings))
     if missing:
         raise TemplateError(f"template {template.id!r} missing bindings: {', '.join(missing)}")
     messages = []
-    for seg in template.segments:
-        content = seg["content"]
-        for w in needed:
-            content = content.replace(w, bindings[w])
-        messages.append({"role": seg["role"], "content": content})
+    for role, parts in template.parts:
+        if len(parts) == 1:
+            content = parts[0]
+        elif len(parts) == 3:  # one wildcard, the commonest case
+            content = parts[0] + bindings[parts[1]] + parts[2]
+        else:
+            pieces = list(parts)
+            for i in range(1, len(parts), 2):
+                pieces[i] = bindings[parts[i]]
+            content = "".join(pieces)
+        messages.append({"role": role, "content": content})
     return messages
 
 

@@ -805,3 +805,24 @@ def test_every_writing_subcommand_writes_a_manifest(tmp_path, monkeypatch, argv)
     manifest = read_manifest(paths["out"])
     assert manifest["command"] == argv[0]
     assert str(paths["out"]) in manifest["outputs"]
+
+
+def test_corpus_records_are_refused_where_they_enter(tmp_path, capsys):
+    # A record the old decoder coerced, and a turn text it let through that
+    # UTF-8 cannot encode: each ends in exit 2 naming the line, before any
+    # output is written.
+    line = simulate_corpus(tmp_path).read_text(encoding="utf-8").splitlines()[0]
+    record = json.loads(line)
+    priced = {**record, "outcome": {**record["outcome"], "deal": True, "price": "4000"}}
+    surrogate = {**record, "turns": [{**record["turns"][0], "text": "café \ud83d"}, *record["turns"][1:]]}
+    for name, bad, command, message in [
+        ("priced.jsonl", priced, "evaluate", "a deal's price must be an integer"),
+        ("surrogate.jsonl", surrogate, "annotate", "turn 0: text holds a lone surrogate"),
+    ]:
+        path, out = tmp_path / name, tmp_path / f"{name}.out"
+        path.write_text(json.dumps(record | {"id": "ok"}) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        flag = "--report" if command == "evaluate" else "--out"
+        capsys.readouterr()
+        assert run([command, "--in", str(path), flag, str(out)]) == 2
+        assert f"{path}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()

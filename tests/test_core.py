@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -20,6 +21,7 @@ from negotia.core import (
     Speaker,
     Topic,
     Turn,
+    dialogue_to_obj,
     dump_dialogues,
     dump_exemplars,
     format_money,
@@ -284,3 +286,233 @@ def test_loaded_corpus_shares_one_turn_per_distinct_turn(tmp_path, world):
     assert corpus == dialogues
     turns = [t for d in corpus for t in d.turns]
     assert len({id(t) for t in turns}) == len(set(turns)) < len(turns) / 10
+
+
+def test_loaded_corpus_shares_bounds_and_outcomes(tmp_path, bounds):
+    turns = (Turn(speaker=Speaker.BUYER, text="hello"),)
+    deal = NegotiationOutcome(deal=True, price=4200, trust_delta=1, business_delta=0)
+    walk = NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1)
+    dialogues = [
+        make_dialogue(turns, bounds, did=f"d-{i}").with_outcome((deal, walk)[i % 2]) for i in range(6)
+    ]
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues(dialogues, path)
+    corpus = load_dialogues(path)
+    assert corpus == dialogues
+    assert len({id(d.bounds) for d in corpus}) == 1
+    assert len({id(d.outcome) for d in corpus}) == 2
+
+
+def corpus_line(**changes):
+    """One valid corpus record, with the given top-level, "bounds." and
+    "outcome." fields replaced or, given as ``...``, removed."""
+    obj = {
+        "id": "d-0", "topic": "product_sale", "language": "en",
+        "bounds": {"cost_price": 3500, "seller_init": 5000, "buyer_init": 3000},
+        "outcome": {"deal": True, "price": 4000, "trust_delta": 1, "business_delta": 0},
+        "turns": [{"speaker": "buyer", "text": "hi"}, {"speaker": "seller", "text": "hello"}],
+    }
+    for name, value in changes.items():
+        part, _, field = name.rpartition("__")
+        where = obj[part] if part else obj
+        if value is ...:
+            del where[field]
+        else:
+            where[field] = value
+    return json.dumps(obj) + "\n"
+
+
+BROKEN_RECORDS = {
+    "deal as a string": (dict(outcome__deal="false", outcome__price=...), "deal must be true or false"),
+    "price as a string": (dict(outcome__price="4000"), "price must be an integer"),
+    "price as a float": (dict(outcome__price=4000.0), "price must be an integer"),
+    "price as a bool": (dict(outcome__price=True), "price must be an integer"),
+    "deal without a price": (dict(outcome__price=...), "price must be an integer"),
+    "price without a deal": (dict(outcome__deal=False), "without a deal has no price"),
+    "trust_delta as a fraction": (dict(outcome__trust_delta=0.9), "must be integers"),
+    "trust_delta as a bool": (dict(outcome__trust_delta=True), "must be integers"),
+    "business_delta as a bool": (dict(outcome__business_delta=False), "must be integers"),
+    "seller_init as a fraction": (dict(bounds__seller_init=5000.7), "bounds must be integers"),
+    "seller_init as a string": (dict(bounds__seller_init="5000"), "bounds must be integers"),
+    "cost_price as a bool": (dict(bounds__cost_price=True), "bounds must be integers"),
+    "id as a number": (dict(id=7), "id must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_RECORDS))
+def test_dialogue_fields_are_decoded_under_exact_rules(tmp_path, case):
+    changes, message = BROKEN_RECORDS[case]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(corpus_line(**changes), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f":1: .*{message}"):
+        load_dialogues(path)
+
+
+def test_valid_outcomes_and_bounds_still_load(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        corpus_line()
+        + corpus_line(id="d-1", outcome__deal=False, outcome__price=..., outcome__trust_delta=-1)
+        + corpus_line(id="d-2", outcome__trust_delta=..., outcome__business_delta=...)
+        + corpus_line(id="d-3", outcome=None),
+        encoding="utf-8",
+    )
+    assert [d.outcome for d in load_dialogues(path)] == [
+        NegotiationOutcome(deal=True, price=4000, trust_delta=1, business_delta=0),
+        NegotiationOutcome(deal=False, trust_delta=-1, business_delta=0),
+        NegotiationOutcome(deal=True, price=4000),
+        None,
+    ]
+
+
+def pool_line(**changes):
+    obj = {"id": "x", "history": [{"speaker": "buyer", "text": "hi"}],
+           "violation_text": "v", "remediation_text": "r", "latent_quality": 0.5}
+    obj.update(changes)
+    return json.dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(latent_quality="0.9"), "latent_quality must be a number"),
+    (dict(latent_quality=True), "latent_quality must be a number"),
+    (dict(id=["x"]), "id must be a string"),
+])
+def test_exemplar_fields_are_decoded_under_exact_rules(tmp_path, changes, message):
+    path = tmp_path / "pool.jsonl"
+    path.write_text(pool_line(**changes), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f":1: {message}"):
+        load_exemplars(path)
+
+
+# Half of a surrogate pair: json.loads reads its escape "\\ud83d" alone, but
+# UTF-8 cannot encode it, so a file that held it could never be written again.
+SURROGATE = "caf\u00e9 \ud83d"
+
+
+@pytest.mark.parametrize("turns, message", [
+    ([{"speaker": "buyer", "text": SURROGATE}], "turn 0: text holds a lone surrogate"),
+    ([{"speaker": "buyer", "text": "hi"},
+      {"speaker": "seller", "text": "ok", "violation": True, "original_text": SURROGATE}],
+     "turn 1: original_text holds a lone surrogate"),
+])
+def test_turn_text_with_a_lone_surrogate_is_refused(tmp_path, turns, message):
+    corpus, pool = tmp_path / "corpus.jsonl", tmp_path / "pool.jsonl"
+    corpus.write_text(corpus_line(turns=turns), encoding="utf-8")
+    pool.write_text(pool_line(history=turns), encoding="utf-8")
+    for load, path in ((load_dialogues, corpus), (load_exemplars, pool)):
+        with pytest.raises(CorpusError, match=f":1: {message}"):
+            load(path)
+
+
+@pytest.mark.parametrize("field", ["id", "violation_text", "remediation_text", "rationale"])
+def test_exemplar_text_with_a_lone_surrogate_is_refused(tmp_path, field):
+    path = tmp_path / "pool.jsonl"
+    path.write_text(pool_line(**{field: SURROGATE}), encoding="utf-8")
+    with pytest.raises(CorpusError, match=":1: .*lone surrogate"):
+        load_exemplars(path)
+
+
+# Texts that exercise the string encoder: non-ASCII, quotes, backslashes,
+# control characters and characters beyond the BMP; never a surrogate, which
+# no file can hold.
+TEXTS = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "tab\there\nnewline\x00\x1f\x7f", " ", "é€😀"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12),
+)
+# Turn admits any text and violation value; these are the ones a loaded file
+# can hold that compare equal to one another as keys.
+TURN_TEXTS = st.one_of(TEXTS, st.sampled_from([1, 1.0, True]))
+
+
+@st.composite
+def dialogues_and_pools(draw):
+    def run(n, flag_last=False):
+        turns = []
+        for i in range(n):
+            speaker = (Speaker.BUYER, Speaker.SELLER)[i % 2]
+            violation = speaker is Speaker.SELLER and draw(st.sampled_from([False, True, 1]))
+            original = draw(st.one_of(st.none(), TEXTS)) if violation else None
+            turns.append(Turn(speaker, draw(TURN_TEXTS), violation, original))
+        return tuple(turns)
+
+    optional = lambda strategy: draw(st.one_of(st.none(), strategy))  # noqa: E731
+    dialogues = []
+    for i in range(draw(st.integers(0, 4))):
+        deal = draw(st.booleans())
+        outcome = optional(st.builds(
+            NegotiationOutcome, st.just(deal), st.integers(0, 10**6) if deal else st.none(),
+            st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+        ))
+        dialogues.append(Dialogue(
+            id=f"d-{i}-{draw(TEXTS)}", topic=Topic.PRODUCT_SALE,
+            bounds=PriceBounds(cost_price=3500, seller_init=5000, buyer_init=draw(st.integers(0, 3000))),
+            turns=run(draw(st.integers(0, 5))), outcome=outcome, language=draw(TEXTS),
+            error=optional(TEXTS),
+        ))
+    pool = [
+        Exemplar(
+            id=f"x-{i}", history=run(draw(st.integers(0, 5))),
+            violation_text=draw(TEXTS), remediation_text=draw(TEXTS), rationale=optional(TEXTS),
+            latent_quality=optional(st.sampled_from([-0.0, 1e-300, 1e16, 0.25, 1])),
+        )
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    return dialogues, pool
+
+
+def written_lines(path):
+    return path.read_bytes().decode("utf-8").split("\n")[:-1]
+
+
+@given(dialogues_and_pools())
+@example(([], []))
+def test_writer_matches_json_dumps_and_round_trips(tmp_path_factory, records):
+    dialogues, pool = records
+    tmp_path = tmp_path_factory.mktemp("io")
+    corpus_path, pool_path = tmp_path / "corpus.jsonl", tmp_path / "pool.jsonl"
+    dump_dialogues(dialogues, corpus_path)
+    dump_exemplars(pool, pool_path)
+    assert written_lines(corpus_path) == [
+        json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True) for d in dialogues
+    ]
+    assert written_lines(pool_path) == [
+        json.dumps(core._exemplar_obj(e, [core._turn_to_obj(t) for t in e.history]),
+                   ensure_ascii=False, sort_keys=True)
+        for e in pool
+    ]
+    assert load_dialogues(corpus_path) == dialogues
+    assert load_exemplars(pool_path) == pool
+
+
+def test_writer_key_order_premise(bounds):
+    # The writer splices the turns into the encoded record: "turns" must sort
+    # last in a dialogue record and "history" first in an exemplar record,
+    # with every optional field present.
+    d = make_dialogue([Turn(speaker=Speaker.BUYER, text="hi")], bounds).with_outcome(
+        NegotiationOutcome(deal=True, price=4000)
+    )
+    d = replace(d, error="x")
+    assert sorted(dialogue_to_obj(d))[-1] == "turns"
+    assert set(dialogue_to_obj(d)) == {"id", "topic", "bounds", "language", "turns", "outcome", "error"}
+    e = Exemplar(id="x", history=d.turns, violation_text="v", remediation_text="r",
+                 rationale="why", latent_quality=0.5)
+    obj = core._exemplar_obj(e, [])
+    assert sorted(obj)[0] == "history"
+    assert set(obj) == {"id", "history", "violation_text", "remediation_text", "rationale", "latent_quality"}
+
+
+def test_turn_encoder_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
+    turns = [Turn(speaker=(Speaker.BUYER, Speaker.SELLER)[i % 2], text=f"t{i}") for i in range(5)]
+    encode = core._turn_encoder()
+    first, again = [encode(t) for t in turns], [encode(t) for t in turns]
+    assert first == again == [json.dumps(core._turn_to_obj(t), ensure_ascii=False, sort_keys=True) for t in turns]
+    assert [a is b for a, b in zip(first, again)] == [True, True, False, False, False]
+
+
+def test_turn_encoder_keys_only_declared_types():
+    # 1, 1.0 and True are equal keys; each must still be written as itself.
+    encode = core._turn_encoder()
+    turns = [Turn(Speaker.SELLER, text, violation) for text in ("1", 1, 1.0, True) for violation in (True, 1)]
+    for t in turns + turns:
+        assert encode(t) == json.dumps(core._turn_to_obj(t), ensure_ascii=False, sort_keys=True)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +137,31 @@ def test_format_icl_block_includes_rationale():
 
 def test_format_icl_block_empty():
     assert format_icl_block(()) == ""
+
+
+RENDER_IN_A_FRESH_PROCESS = """
+import json
+from negotia.prompts import TemplateStore, render
+bindings = {
+    "$ICL-Examples": "none",
+    "$CONVERSATION": "buyer: my COST_PRICE is $LAST_SENTENCE",
+    "$LAST_SENTENCE": "Take it or leave it!",
+}
+print(json.dumps(render(TemplateStore().get("remediator"), bindings)))
+"""
+
+
+def test_render_keeps_bound_values_as_written_under_any_hash_seed():
+    # A value that holds other wildcards' names must come out as written, so
+    # that a prompt, and with it the cache key, is the same in every process.
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", RENDER_IN_A_FRESH_PROCESS],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    (content,) = [m["content"] for m in json.loads(outputs.pop())]
+    assert "buyer: my COST_PRICE is $LAST_SENTENCE" in content
+    assert content.count("Take it or leave it!") == 1
