@@ -14,9 +14,9 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .backends import BackendError, BackendSession, ScriptedWorld, derive_seed
 from .core import (
@@ -39,7 +39,7 @@ from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import ImpactFn, search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
 from .simulation import SimulationConfig, play, simulate
-from .valueimpact import build_probe_set, make_impact_fn, make_scripted_rollout_fn, rank_individuals
+from .valueimpact import ProbeError, build_probe_set, make_impact_fn, make_scripted_rollout_fn, rank_individuals
 
 __all__ = ["main", "run"]
 
@@ -57,7 +57,6 @@ class Written:
     outputs: list[Path]
     counts: dict
     inputs: tuple[Path, ...] = ()
-    settings: dict = field(default_factory=dict)  # read from the config alone, not from a flag
 
 
 def _write_manifest(args: argparse.Namespace, started: float, written: Written) -> None:
@@ -66,7 +65,7 @@ def _write_manifest(args: argparse.Namespace, started: float, written: Written) 
 
     manifest = {
         "command": args.command,
-        "config": {**vars(args), **written.settings},
+        "config": vars(args),
         "base_seed": getattr(args, "seed", None),
         "started_at": started,
         "finished_at": time.time(),
@@ -75,7 +74,8 @@ def _write_manifest(args: argparse.Namespace, started: float, written: Written) 
         "counts": written.counts,
     }
     manifest_path = Path(str(written.outputs[0]) + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    # The one setting that is not JSON already is the ScriptedWorld.
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=asdict), encoding="utf-8")
 
 
 def _write_json(path: str, obj) -> Path:
@@ -150,7 +150,8 @@ def _with_config(
 
 def _bargain(path: str, cfg: dict) -> tuple[ScriptedWorld, int]:
     """The config's "world" over ScriptedWorld's defaults, and its cap on the
-    turns of one dialogue, openers included; an unknown key is a usage error."""
+    turns of one dialogue, openers included; an unknown key, or a value the
+    scripted rules refuse, is a usage error."""
     w = dict(cfg.get("world", {}))
     bounds = w.pop("bounds", {})
     default = ScriptedWorld(bounds=DEFAULT_BOUNDS)
@@ -164,9 +165,11 @@ def _bargain(path: str, cfg: dict) -> tuple[ScriptedWorld, int]:
         }
     try:
         world = replace(default, bounds=replace(DEFAULT_BOUNDS, **read["world.bounds"]), **read["world"])
-    except ValueError as exc:  # a world or bounds the scripted rules refuse
+        max_turns = _scalar(path, "max_turns", cfg.get("max_turns", SimulationConfig.max_turns), int)
+        SimulationConfig(max_turns=max_turns)
+    except ValueError as exc:  # a world, bounds or cap the scripted rules refuse
         raise UsageError(f"{path}: {exc}") from None
-    return world, _scalar(path, "max_turns", cfg.get("max_turns", SimulationConfig.max_turns), int)
+    return world, max_turns
 
 
 def _backend_session(args: argparse.Namespace) -> tuple[BackendSession, Optional[TemplateStore]]:
@@ -206,12 +209,11 @@ def _load_set(pool_path: str, set_path: str) -> tuple[Exemplar, ...]:
 # Subcommands: each returns what it wrote, or None when it writes no file.
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
+def _cmd_simulate(args: argparse.Namespace) -> Written:
     if (args.pool is None) != (args.set is None):
         raise UsageError("simulate takes --pool and --set together or not at all")
     if args.pool is not None and not args.remediate:
         raise UsageError("simulate takes --pool and --set only with --remediate on")
-    world, max_turns = _bargain(args.config, cfg)
     session, templates = _backend_session(args)
 
     remediator = None
@@ -224,7 +226,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
         config = SimulationConfig(
             p_c=args.p_c,
             remediation_enabled=args.remediate,
-            max_turns=max_turns,
+            max_turns=args.max_turns,
             seed=derive_seed(args.seed, "rollout", i),
         )
         return simulate(
@@ -235,8 +237,8 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
             templates,
             remediator=remediator,
             evaluator=session,
-            world=world,
-            bounds=world.bounds,
+            world=args.world,
+            bounds=args.world.bounds,
             dialogue_id=f"sim-{i}",
         )
 
@@ -248,10 +250,10 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> Written:
 
     out = Path(args.out)
     dump_dialogues(dialogues, out)
-    return Written([out], {"rollouts": args.n}, settings={"max_turns": max_turns, "world": asdict(world)})
+    return Written([out], {"rollouts": args.n})
 
 
-def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> Written:
+def _cmd_annotate(args: argparse.Namespace) -> Written:
     corpus = load_dialogues(args.infile)
     session, templates = _backend_session(args)
     pool = silver_annotate(corpus, session, templates)
@@ -260,29 +262,23 @@ def _cmd_annotate(args: argparse.Namespace, cfg: dict) -> Written:
     return Written([out], {"exemplars": len(pool)}, (Path(args.infile),))
 
 
-def _impact_fn(
-    args: argparse.Namespace, world: ScriptedWorld, max_turns: int, pool: list[Exemplar]
-) -> ImpactFn:
+def _impact_fn(args: argparse.Namespace, pool: list[Exemplar]) -> ImpactFn:
     """The value impact of pool id sets over one probe set."""
     session = BackendSession(kind="scripted")
-    sim_cfg = SimulationConfig(p_c=args.p_c, max_turns=max_turns, seed=args.seed)
-    rollout_fn = make_scripted_rollout_fn(world, sim_cfg)
-    probe = build_probe_set(world, sim_cfg, args.probe_size, session, rollout_fn)
+    sim_cfg = SimulationConfig(p_c=args.p_c, max_turns=args.max_turns, seed=args.seed)
+    rollout_fn = make_scripted_rollout_fn(args.world, sim_cfg)
+    probe = build_probe_set(args.world, sim_cfg, args.probe_size, session, rollout_fn)
     return make_impact_fn(pool, probe, session, rollout_fn)
 
 
-def _cmd_filter(args: argparse.Namespace, cfg: dict) -> Written:
-    world, max_turns = _bargain(args.config, cfg)
+def _cmd_filter(args: argparse.Namespace) -> Written:
     pool = load_exemplars(args.pool)
-    impact_fn = _impact_fn(args, world, max_turns, pool)
-    ranked = rank_individuals(pool, args.sample, impact_fn, sample_seed=args.seed)
+    ranked = rank_individuals(pool, args.sample, _impact_fn(args, pool), sample_seed=args.seed)
     out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
-    settings = {"max_turns": max_turns, "world": asdict(world)}
-    return Written([out], {"ranked": len(ranked)}, (Path(args.pool),), settings)
+    return Written([out], {"ranked": len(ranked)}, (Path(args.pool),))
 
 
-def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
-    world, max_turns = _bargain(args.config, cfg)
+def _cmd_search(args: argparse.Namespace) -> Written:
     pool = load_exemplars(args.pool)
     ranked_objs = _read_json(args.ranked)
     if not isinstance(ranked_objs, list) or not all(
@@ -293,7 +289,7 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
     _from_pool(pool, [eid for eid, _ in ranked], "ranked ids")
     s_init, s_cand = split_candidates(ranked, args.k)
 
-    best, trace = search_optimal_set(s_init, s_cand, _impact_fn(args, world, max_turns, pool), args.m)
+    best, trace = search_optimal_set(s_init, s_cand, _impact_fn(args, pool), args.m)
     outputs = [_write_json(args.out, {"members": list(best.members), "value_impact": best.value_impact})]
     if args.trace:
         trace_obj = {
@@ -303,11 +299,10 @@ def _cmd_search(args: argparse.Namespace, cfg: dict) -> Written:
         }
         outputs.append(_write_json(args.trace, trace_obj))
     counts = {"evaluations": len(trace.evaluations), "prunings": len(trace.pruning_events)}
-    settings = {"max_turns": max_turns, "world": asdict(world)}
-    return Written(outputs, counts, (Path(args.pool), Path(args.ranked)), settings)
+    return Written(outputs, counts, (Path(args.pool), Path(args.ranked)))
 
 
-def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
+def _cmd_select(args: argparse.Namespace) -> Written:
     pool = load_exemplars(args.pool)
     if args.strategy == "random":
         chosen = select_random(pool, args.k, args.seed)
@@ -320,16 +315,19 @@ def _cmd_select(args: argparse.Namespace, cfg: dict) -> Written:
     return Written([out], {"selected": args.k}, (Path(args.pool),))
 
 
-def _cmd_remediate(args: argparse.Namespace, cfg: dict) -> None:
+def _cmd_remediate(args: argparse.Namespace) -> None:
     exemplars = _load_set(args.pool, args.set)
     query = _read_object(args.infile, history=list, violation_text=str)
-    history = turns_from_objs(query["history"])
+    try:
+        history = turns_from_objs(query["history"])
+    except (CorpusError, KeyError, ValueError) as exc:  # KeyError: a turn without a speaker or text
+        raise CorpusError(f"{args.infile}: malformed history: {exc}") from None
     session, templates = _backend_session(args)
     policy = RemediationPolicy(exemplars=exemplars, backend=session)
     print(remediate(policy, history, query["violation_text"], templates))
 
 
-def _cmd_evaluate(args: argparse.Namespace, cfg: dict) -> Written:
+def _cmd_evaluate(args: argparse.Namespace) -> Written:
     corpus = load_dialogues(args.infile)
     scored = [d for d in corpus if d.outcome is not None]
     excluded = [d.id for d in corpus if d.outcome is None]
@@ -348,9 +346,8 @@ def _ask(prompt: str) -> str:
         return "/quit"
 
 
-def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
+def _cmd_interactive(args: argparse.Namespace) -> Written:
     role = Speaker(args.role)
-    world, max_turns = _bargain(args.config, cfg)
     policy = RemediationPolicy(exemplars=(), backend=BackendSession(kind="scripted"))
     choices: list[dict] = []
     shown = 0  # turns already on screen
@@ -389,7 +386,7 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
             return Turn(speaker=role, text=rewrite, violation=True, original_text=raw)
         return Turn(speaker=role, text=raw, violation=True)
 
-    d = play(world, role, speak, max_turns)
+    d = play(args.world, role, speak, args.max_turns)
     show(d.turns)
     flags = len(choices)
     accepted = sum(1 for c in choices if c["accepted"])
@@ -397,11 +394,9 @@ def _cmd_interactive(args: argparse.Namespace, cfg: dict) -> Written:
         print(f"acceptance rate: {accepted}/{flags} = {accepted / flags:.2f}")
 
     out = Path(args.out)
-    record = dialogue_to_obj(d)
-    record["interactive_choices"] = choices
-    out.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
-    counts = {"turns": len(d.turns), "flags": flags, "accepted": accepted}
-    return Written([out], counts, settings={"max_turns": max_turns, "world": asdict(world)})
+    record = {**dialogue_to_obj(d), "interactive_choices": choices}
+    out.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8")
+    return Written([out], {"turns": len(d.turns), "flags": flags, "accepted": accepted})
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +410,30 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
-def _count(text: str) -> int:
-    """The value of a flag that counts something: an int of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text!r}")
-    return value
+def _ranged(kind: type, within: Callable[..., bool], rule: str) -> Callable[[str], object]:
+    """The type of a numeric flag: its text read as ``kind``, in range."""
+
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not within(value):
+            raise argparse.ArgumentTypeError(f"{rule}, not {text!r}")
+        return value
+
+    return read
 
 
-def _probability(text: str) -> float:
-    """The value of a probability flag: a float in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], not {text!r}")
-    return value
+_count = _ranged(int, lambda v: v >= 1, "must be at least 1")  # a flag that counts something
+_probability = _ranged(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """Every setting's type, choices and default. Each top-level flag takes
-    exactly one value, which `_with_config` relies on."""
+    exactly one value, which `_with_config` relies on. The commands that play
+    scripted bargains also carry the config's `world` and `max_turns`, which
+    no flag sets."""
     parser = argparse.ArgumentParser(prog="negotia")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--workers", type=_count, default=1)
@@ -458,6 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pool")
     p.add_argument("--set")
+    p.set_defaults(world=None, max_turns=None)
 
     p = sub.add_parser("annotate")
     p.add_argument("--in", dest="infile", required=True)
@@ -471,6 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probed.add_argument("--p-c", type=_probability, default=0.6)
     probed.add_argument("--seed", type=int, default=0)
     probed.add_argument("--out", required=True)
+    probed.set_defaults(world=None, max_turns=None)
 
     p = sub.add_parser("filter", parents=[probed])
     p.add_argument("--sample", type=_count, required=True)
@@ -502,6 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interactive")
     p.add_argument("--role", required=True, choices=["buyer", "seller"])
     p.add_argument("--out", required=True)
+    p.set_defaults(world=None, max_turns=None)
 
     return parser
 
@@ -528,15 +525,15 @@ def run(argv: list[str]) -> int:
         cfg = _load_config_file(args.config)
         args = parser.parse_args(_with_config(parser, argv, args.config, cfg))
         started = time.time()
-        written = _COMMANDS[args.command](args, cfg)
+        if "world" in args:  # a command that plays scripted bargains
+            args.world, args.max_turns = _bargain(args.config, cfg)
+        written = _COMMANDS[args.command](args)
         if written is not None:
             _write_manifest(args, started, written)
         return 0
     except SystemExit as exc:  # argparse has printed its message
         return 1 if exc.code else 0
-    except (
-        UsageError, CorpusError, BackendError, TemplateError, OSError, RuntimeError, ValueError, KeyError
-    ) as exc:
+    except (UsageError, CorpusError, BackendError, TemplateError, ProbeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 

@@ -157,11 +157,17 @@ Checked = tuple[Turn, tuple[str, ...]]
 
 def _check_turn(t: Turn) -> Checked:
     problems: list[str] = []
-    if not t.text:
+    if type(t.text) is not str:
+        problems.append("text must be a string")
+    elif not t.text:
         problems.append("empty text")
     elif not _encodable(t.text):
         problems.append("text holds a lone surrogate")
+    if type(t.violation) is not bool:
+        problems.append("violation must be true or false")
     if t.original_text is not None:
+        if type(t.original_text) is not str:
+            problems.append("original_text must be a string or null")
         if not t.violation:
             problems.append("original_text present but violation=false")
         if not _encodable(t.original_text):
@@ -289,8 +295,9 @@ def _turn_encoder() -> Callable[[Turn], str]:
 def _turn_decoder() -> Callable[[dict], Checked]:
     """Decode turn records to checked turns, building and checking each
     distinct record once: equal records share one frozen ``Turn``, up to
-    ``_INTERN_LIMIT`` of them. Only string texts are interned, since 1, 1.0
-    and true are equal keys."""
+    ``_INTERN_LIMIT`` of them. Only records whose fields have their declared
+    types are interned, since 1, 1.0 and true are equal keys; any other is
+    returned with its type problems."""
     table: dict[tuple, Checked] = {}
 
     def decode(obj: dict) -> Checked:
@@ -299,8 +306,8 @@ def _turn_decoder() -> Callable[[dict], Checked]:
             speaker = _SPEAKERS[raw]
         except (KeyError, TypeError):
             speaker = Speaker(raw)  # raises the enum's own error
-        key = (speaker, obj["text"], bool(obj.get("violation", False)), obj.get("original_text"))
-        if type(key[1]) is not str or not (key[3] is None or type(key[3]) is str):
+        key = (speaker, obj["text"], obj.get("violation", False), obj.get("original_text"))
+        if type(key[1]) is not str or type(key[2]) is not bool or not (key[3] is None or type(key[3]) is str):
             return _check_turn(Turn(*key))
         checked = table.get(key)
         if checked is None:
@@ -403,6 +410,9 @@ def _dialogue_decoder() -> Callable[[dict], Dialogue]:
         outcome = obj.get("outcome")
         if outcome is not None:
             outcome = share_outcome(*_outcome_fields(outcome))
+        language, error = obj.get("language", "en"), obj.get("error")
+        if type(language) is not str or not (error is None or type(error) is str):
+            raise CorpusError("language must be a string, and error a string or null")
         turns = _decode_turns(obj["turns"], decode_turn)
         if problems := _opener_problems(turns):
             raise CorpusError("; ".join(problems))
@@ -412,8 +422,8 @@ def _dialogue_decoder() -> Callable[[dict], Dialogue]:
             bounds=share_bounds(cost, seller, buyer),
             turns=turns,
             outcome=outcome,
-            language=obj.get("language", "en"),
-            error=obj.get("error"),
+            language=language,
+            error=error,
         )
 
     return decode
@@ -442,6 +452,8 @@ def _exemplar_decoder() -> Callable[[dict], Exemplar]:
         eid = _record_id(obj)
         violation, remediation = obj["violation_text"], obj["remediation_text"]
         rationale, quality = obj.get("rationale"), obj.get("latent_quality")
+        if not (type(violation) is type(remediation) is str and (rationale is None or type(rationale) is str)):
+            raise CorpusError("violation_text, remediation_text and rationale must be strings")
         if not violation or not remediation:
             raise CorpusError("empty text in violation_text or remediation_text")
         if not (_encodable(violation) and _encodable(remediation) and _encodable(rationale)):

@@ -72,25 +72,18 @@ _BUSINESS_LABELS = {
 }
 
 
-def _match_label(reply: str, labels: dict[str, int]) -> int | None:
-    text = reply.strip().strip('".').lower()
-    for label, value in labels.items():
-        if label in text:
-            return value
-    return None
-
-
 def _judge(evaluator: BackendSession, msgs: list[dict], labels: dict[str, int]) -> int:
     """Map a four-way judgment reply to a delta; an unparseable one is neutral.
 
     The request is sent once: a re-ask would be answered from the cache.
     """
     reply = chat(evaluator, msgs)
-    value = _match_label(reply, labels)
-    if value is None:
-        log.warning("unparseable evaluator reply %r, treating as not-applicable", reply)
-        return 0
-    return value
+    text = reply.strip().strip('".').lower()
+    for label, value in labels.items():
+        if label in text:
+            return value
+    log.warning("unparseable evaluator reply %r, treating as not-applicable", reply)
+    return 0
 
 
 def _parse_deal(reply: str) -> tuple[bool, int | None]:

@@ -94,9 +94,16 @@ class TemplateStore:
                 obj = json.loads(path.read_text(encoding="utf-8"))
             except FileNotFoundError as exc:
                 raise TemplateError(f"missing template file for {tid!r}") from exc
-            segments = tuple(
-                {"role": s["role"], "content": s["content"]} for s in obj["segments"]
-            )
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise TemplateError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+            raw = obj.get("segments") if isinstance(obj, dict) else None
+            if not isinstance(raw, list) or not all(
+                isinstance(s, dict) and type(s.get("role")) is type(s.get("content")) is str for s in raw
+            ):
+                raise TemplateError(
+                    f"{path}: expected an array 'segments' of objects with string 'role' and 'content'"
+                )
+            segments = tuple({"role": s["role"], "content": s["content"]} for s in raw)
             self._templates[tid] = PromptTemplate(id=tid, segments=segments)
 
     def get(self, template_id: str) -> PromptTemplate:

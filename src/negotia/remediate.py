@@ -105,24 +105,10 @@ def silver_annotate(
         for i, t in enumerate(d.turns):
             if not t.violation:
                 continue
-            eid = f"{d.id}#{i}"
             if t.original_text is not None:
                 # Turn already remediated in the corpus: export the recorded rewrite.
-                pool.append(
-                    Exemplar(
-                        id=eid,
-                        history=d.turns[:i],
-                        violation_text=t.original_text,
-                        remediation_text=t.text,
-                    )
-                )
-                continue
-            pool.append(
-                Exemplar(
-                    id=eid,
-                    history=d.turns[:i],
-                    violation_text=t.text,
-                    remediation_text=remediate(policy, d.turns[:i], t.text, templates),
-                )
-            )
+                violation, rewrite = t.original_text, t.text
+            else:
+                violation, rewrite = t.text, remediate(policy, d.turns[:i], t.text, templates)
+            pool.append(Exemplar(f"{d.id}#{i}", d.turns[:i], violation, rewrite))
     return pool

@@ -26,6 +26,7 @@ from .simulation import (
 )
 
 __all__ = [
+    "ProbeError",
     "RemediationPoint",
     "ValueEstimate",
     "RolloutFn",
@@ -43,6 +44,10 @@ RolloutFn = Callable[[ViolationPoint, str], float]
 
 # Rollouts build_probe_set tries per probe point before it gives up.
 PROBE_RETRY_BUDGET = 20
+
+
+class ProbeError(RuntimeError):
+    """A probe point that no rollout within the retry budget reached."""
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,7 @@ def build_probe_set(
             if point is not None:
                 break
         if point is None:
-            raise RuntimeError(
-                f"probe point {i}: no violation within {PROBE_RETRY_BUDGET} regenerations"
-            )
+            raise ProbeError(f"probe point {i}: no violation within {PROBE_RETRY_BUDGET} regenerations")
         silver_y = remediate(silver_policy, point.prefix, point.violation_text)
         points.append(
             RemediationPoint(

@@ -826,3 +826,121 @@ def test_corpus_records_are_refused_where_they_enter(tmp_path, capsys):
         assert run([command, "--in", str(path), flag, str(out)]) == 2
         assert f"{path}:2: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+BARGAINING_ARGV = {
+    "simulate": ["simulate", "--n", "2", "--out", "{out}"],
+    "filter": ["filter", "--pool", "{pool}", "--sample", "3", "--probe-size", "2", "--out", "{out}"],
+    "search": ["search", "--ranked", "{ranked}", "--pool", "{pool}", "--k", "2", "--probe-size", "2",
+               "--out", "{out}"],
+    "interactive": ["interactive", "--role", "buyer", "--out", "{out}"],
+}
+
+
+def bargaining_paths(tmp_path):
+    ranked = tmp_path / "ranked.json"
+    ranked.write_text(json.dumps([{"id": f"ex-{q}", "value_impact": q} for q in (0.9, 0.8, 0.7)]), encoding="utf-8")
+    return {"pool": make_pool_file(tmp_path, (0.9, 0.8, 0.7)), "ranked": ranked, "out": tmp_path / "out.json"}
+
+
+@pytest.mark.parametrize("command", sorted(BARGAINING_ARGV))
+def test_max_turns_the_scripted_rules_refuse_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr("builtins.input", lambda prompt="": "/quit")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_turns": 1}), encoding="utf-8")
+    paths = bargaining_paths(tmp_path)
+    assert run(["--config", str(cfg), *(a.format(**paths) for a in BARGAINING_ARGV[command])]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: max_turns must leave room for the two opening turns\n"
+    assert not paths["out"].exists()
+
+
+def test_manifest_records_world_and_max_turns_of_bargaining_commands_only(tmp_path, monkeypatch):
+    monkeypatch.setattr("builtins.input", lambda prompt="": "/quit")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_turns": 12, "world": {"bounds": {"seller_init": 6000}}}), encoding="utf-8")
+    paths = {**bargaining_paths(tmp_path), "corpus": simulate_corpus(tmp_path)}
+    others = {
+        "annotate": ["annotate", "--in", "{corpus}", "--out", "{out}"],
+        "select": ["select", "--strategy", "random", "--pool", "{pool}", "--k", "2", "--out", "{out}"],
+        "evaluate": ["evaluate", "--in", "{corpus}", "--report", "{out}"],
+    }
+    for command, argv in {**BARGAINING_ARGV, **others}.items():
+        assert run(["--config", str(cfg), *(a.format(**paths) for a in argv)]) == 0
+        config = read_manifest(paths["out"])["config"]
+        if command in BARGAINING_ARGV:
+            assert config["max_turns"] == 12
+            assert config["world"]["bounds"] == {"cost_price": 3500, "seller_init": 6000, "buyer_init": 3000}
+        else:
+            assert "max_turns" not in config and "world" not in config
+
+
+@pytest.mark.parametrize(
+    "history",
+    [[{}], [{"speaker": "moderator", "text": "hi"}], [{"speaker": "buyer", "text": 5}]],
+    ids=["empty-object", "unknown-speaker", "text-number"],
+)
+def test_remediate_refuses_a_malformed_history_turn_by_file(tmp_path, capsys, history):
+    pool_path = make_pool_file(tmp_path, (0.9,))
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"members": ["ex-0.9"]}), encoding="utf-8")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"history": history, "violation_text": "x"}), encoding="utf-8")
+    assert run(["remediate", "--pool", str(pool_path), "--set", str(set_path), "--in", str(query)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {query}: ")
+
+
+def test_filter_without_violations_is_a_reported_probe_failure(tmp_path, capsys):
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8))
+    out = tmp_path / "ranked.json"
+    assert run(["filter", "--pool", str(pool_path), "--sample", "2", "--p-c", "0", "--out", str(out)]) == 2
+    assert "probe point 0: no violation within 20 regenerations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_annotate_refuses_a_turn_text_that_is_not_a_string(tmp_path, capsys):
+    record = json.loads(simulate_corpus(tmp_path).read_text(encoding="utf-8").splitlines()[0])
+    record["turns"][1]["text"] = 5
+    path, out = tmp_path / "bad.jsonl", tmp_path / "pool.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run(["annotate", "--in", str(path), "--out", str(out)]) == 2
+    assert f"{path}:1: turn 1: text must be a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_remediate_switch_takes_only_on_or_off(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert run(["simulate", "--remediate", "maybe", "--out", str(out)]) == 1
+    assert "argument --remediate: invalid choice: 'maybe' (choose from 'on', 'off')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interactive_record_is_written_with_sorted_keys(tmp_path, monkeypatch, capsys):
+    line = play_session(tmp_path, monkeypatch, "seller").read_text(encoding="utf-8")
+    assert line == json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def test_interactive_rejected_rewrite_keeps_the_raw_line(tmp_path, monkeypatch, capsys):
+    lines = iter(["/flag Take it or leave it, $47 final!", "n", "/quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    out = tmp_path / "session.jsonl"
+    assert run(["interactive", "--role", "seller", "--out", str(out)]) == 0
+    [d] = load_dialogues(out)
+    [flagged] = [t for t in d.turns if t.violation]
+    assert flagged.text == "Take it or leave it, $47 final!" and flagged.original_text is None
+    [choice] = json.loads(out.read_text(encoding="utf-8"))["interactive_choices"]
+    assert choice["original"] == flagged.text and choice["accepted"] is False
+    assert "acceptance rate: 0/1 = 0.00" in capsys.readouterr().out
+
+
+def test_interactive_end_of_input_ends_the_session(tmp_path, monkeypatch):
+    def closed(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", closed)
+    out = tmp_path / "session.jsonl"
+    assert run(["interactive", "--role", "buyer", "--out", str(out)]) == 0
+    [d] = load_dialogues(out)
+    # The closed input reads as '/quit': a walk-away after the two openers.
+    assert len(d.turns) == 2 and not d.outcome.deal

@@ -200,7 +200,7 @@ def oracle_turns_from_objs(objs):
         Turn(
             speaker=Speaker(obj["speaker"]),
             text=obj["text"],
-            violation=bool(obj.get("violation", False)),
+            violation=obj.get("violation", False),
             original_text=obj.get("original_text"),
         )
         for obj in objs
@@ -208,8 +208,14 @@ def oracle_turns_from_objs(objs):
     problems = []
     prev = None
     for i, t in enumerate(turns):
-        if not t.text:
+        if type(t.text) is not str:
+            problems.append(f"turn {i}: text must be a string")
+        elif not t.text:
             problems.append(f"turn {i}: empty text")
+        if type(t.violation) is not bool:
+            problems.append(f"turn {i}: violation must be true or false")
+        if t.original_text is not None and type(t.original_text) is not str:
+            problems.append(f"turn {i}: original_text must be a string or null")
         if t.original_text is not None and not t.violation:
             problems.append(f"turn {i}: original_text present but violation=false")
         if t.violation and t.speaker is not Speaker.SELLER:
@@ -384,6 +390,73 @@ def test_exemplar_fields_are_decoded_under_exact_rules(tmp_path, changes, messag
         load_exemplars(path)
 
 
+def seller_turns(**fields):
+    """A buyer turn, then a seller turn with the given fields replaced."""
+    return [{"speaker": "buyer", "text": "hi"}, {"speaker": "seller", "text": "hello", **fields}]
+
+
+TURN_FIELD_BREACHES = {
+    "violation as a string": (dict(violation="false"), "turn 1: violation must be true or false"),
+    "violation as a list": (dict(violation=[0]), "turn 1: violation must be true or false"),
+    "violation as a number": (dict(violation=1), "turn 1: violation must be true or false"),
+    "text as a number": (dict(text=5), "turn 1: text must be a string"),
+    "original_text as a number": (dict(violation=True, original_text=5),
+                                  "turn 1: original_text must be a string or null"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TURN_FIELD_BREACHES))
+def test_turn_fields_are_decoded_under_exact_rules(tmp_path, case):
+    fields, message = TURN_FIELD_BREACHES[case]
+    corpus, pool = tmp_path / "corpus.jsonl", tmp_path / "pool.jsonl"
+    corpus.write_text(corpus_line(turns=seller_turns(**fields)), encoding="utf-8")
+    pool.write_text(pool_line(history=seller_turns(**fields)), encoding="utf-8")
+    for load, path in ((load_dialogues, corpus), (load_exemplars, pool)):
+        with pytest.raises(CorpusError, match=f":1: {message}"):
+            load(path)
+
+
+def test_violation_type_is_checked_on_every_record(tmp_path):
+    # 1 and true are one table key: a turn already in the table must not
+    # let a later `"violation": 1` through.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(corpus_line(turns=seller_turns(violation=True))
+                    + corpus_line(id="d-1", turns=seller_turns(violation=1)), encoding="utf-8")
+    with pytest.raises(CorpusError, match=":2: turn 1: violation must be true or false"):
+        load_dialogues(path)
+
+
+@pytest.mark.parametrize("load, line, message", [
+    (load_dialogues, corpus_line(language=5), "language must be a string"),
+    (load_dialogues, corpus_line(error=["x"]), "error a string or null"),
+    (load_exemplars, pool_line(violation_text=5), "violation_text, remediation_text and rationale must be strings"),
+    (load_exemplars, pool_line(remediation_text=["r"]), "and rationale must be strings"),
+    (load_exemplars, pool_line(rationale=5), "and rationale must be strings"),
+], ids=["language", "error", "violation_text", "remediation_text", "rationale"])
+def test_record_text_fields_are_decoded_under_exact_rules(tmp_path, load, line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(line, encoding="utf-8")
+    with pytest.raises(CorpusError, match=f":1: .*{message}"):
+        load(path)
+
+
+def test_dialogue_that_opens_with_the_seller_is_refused(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    turns = [{"speaker": "seller", "text": "hello"}, {"speaker": "buyer", "text": "hi"}]
+    path.write_text(corpus_line() + corpus_line(id="d-1", turns=turns), encoding="utf-8")
+    with pytest.raises(CorpusError, match=":2: turn 0: dialogue must open with the buyer"):
+        load_dialogues(path)
+
+
+def test_blank_lines_are_skipped_and_counted(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n" + corpus_line() + "   \n" + corpus_line(id="d-1") + "\n", encoding="utf-8")
+    assert [d.id for d in load_dialogues(path)] == ["d-0", "d-1"]
+    path.write_text("\n" + corpus_line() + "  \n" + corpus_line(), encoding="utf-8")
+    with pytest.raises(CorpusError, match=":4: duplicate id 'd-0'"):
+        load_dialogues(path)
+
+
 # Half of a surrogate pair: json.loads reads its escape "\\ud83d" alone, but
 # UTF-8 cannot encode it, so a file that held it could never be written again.
 SURROGATE = "caf\u00e9 \ud83d"
@@ -425,14 +498,14 @@ TURN_TEXTS = st.one_of(TEXTS, st.sampled_from([1, 1.0, True]))
 
 
 @st.composite
-def dialogues_and_pools(draw):
+def dialogues_and_pools(draw, texts=TURN_TEXTS, flags=(False, True, 1)):
     def run(n, flag_last=False):
         turns = []
         for i in range(n):
             speaker = (Speaker.BUYER, Speaker.SELLER)[i % 2]
-            violation = speaker is Speaker.SELLER and draw(st.sampled_from([False, True, 1]))
+            violation = speaker is Speaker.SELLER and draw(st.sampled_from(flags))
             original = draw(st.one_of(st.none(), TEXTS)) if violation else None
-            turns.append(Turn(speaker, draw(TURN_TEXTS), violation, original))
+            turns.append(Turn(speaker, draw(texts), violation, original))
         return tuple(turns)
 
     optional = lambda strategy: draw(st.one_of(st.none(), strategy))  # noqa: E731
@@ -464,24 +537,27 @@ def written_lines(path):
     return path.read_bytes().decode("utf-8").split("\n")[:-1]
 
 
-@given(dialogues_and_pools())
-@example(([], []))
-def test_writer_matches_json_dumps_and_round_trips(tmp_path_factory, records):
-    dialogues, pool = records
+@given(dialogues_and_pools(), dialogues_and_pools(TEXTS, (False, True)))
+@example(([], []), ([], []))
+def test_writer_matches_json_dumps_and_round_trips(tmp_path_factory, records, declared):
+    # The writer is checked on any Turn; only turns of the declared types
+    # load back, since a load refuses the others.
     tmp_path = tmp_path_factory.mktemp("io")
     corpus_path, pool_path = tmp_path / "corpus.jsonl", tmp_path / "pool.jsonl"
-    dump_dialogues(dialogues, corpus_path)
-    dump_exemplars(pool, pool_path)
-    assert written_lines(corpus_path) == [
-        json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True) for d in dialogues
-    ]
-    assert written_lines(pool_path) == [
-        json.dumps(core._exemplar_obj(e, [core._turn_to_obj(t) for t in e.history]),
-                   ensure_ascii=False, sort_keys=True)
-        for e in pool
-    ]
-    assert load_dialogues(corpus_path) == dialogues
-    assert load_exemplars(pool_path) == pool
+    for (dialogues, pool), loads in ((records, False), (declared, True)):
+        dump_dialogues(dialogues, corpus_path)
+        dump_exemplars(pool, pool_path)
+        assert written_lines(corpus_path) == [
+            json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True) for d in dialogues
+        ]
+        assert written_lines(pool_path) == [
+            json.dumps(core._exemplar_obj(e, [core._turn_to_obj(t) for t in e.history]),
+                       ensure_ascii=False, sort_keys=True)
+            for e in pool
+        ]
+        if loads:
+            assert load_dialogues(corpus_path) == dialogues
+            assert load_exemplars(pool_path) == pool
 
 
 def test_writer_key_order_premise(bounds):

@@ -177,3 +177,15 @@ def test_evaluate_corpus_errors(bounds):
         evaluate_corpus([])
     with pytest.raises(ValueError, match="without outcomes"):
         evaluate_corpus([sample_dialogue(bounds)])
+
+
+@pytest.mark.parametrize(
+    "deal_reply", ["", "Deal", "Deal\nThe price is still open."],
+    ids=["empty", "deal-without-price-line", "price-line-without-number"],
+)
+def test_assess_outcome_reads_an_incomplete_deal_reply_as_no_deal(bounds, templates, deal_reply):
+    def replies(prompt):
+        return deal_reply if "whether a deal was reached" in prompt else "No Change"
+
+    out = assess_outcome(sample_dialogue(bounds), make_evaluator(replies), templates)
+    assert out == NegotiationOutcome(deal=False, price=None, trust_delta=0, business_delta=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -48,6 +49,32 @@ def test_store_alternate_directory(tmp_path, templates):
         )
     other = TemplateStore(tmp_path)
     assert other.get("buyer").segments == templates.get("buyer").segments
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b'{"segments": [{"role": "user", "content": "caf\xe9"}]}',
+        b"[]",
+        b"{}",
+        b'{"segments": {"role": "user", "content": "hi"}}',
+        b'{"segments": ["hi"]}',
+        b'{"segments": [{"role": "user"}]}',
+        b'{"segments": [{"role": 1, "content": "hi"}]}',
+        b'{"segments": [{"role": "user", "content": 5}]}',
+    ],
+    ids=["not-json", "not-utf8", "array", "no-segments", "segments-object", "segment-string",
+         "no-content", "role-number", "content-number"],
+)
+def test_malformed_template_file_is_refused_by_name(tmp_path, templates, content):
+    for tid in TEMPLATE_IDS:
+        (tmp_path / f"{tid}.json").write_text(
+            json.dumps({"id": tid, "segments": list(templates.get(tid).segments)}), encoding="utf-8"
+        )
+    (tmp_path / "remediator.json").write_bytes(content)
+    with pytest.raises(TemplateError, match=f"^{re.escape(str(tmp_path / 'remediator.json'))}: "):
+        TemplateStore(tmp_path)
 
 
 @pytest.mark.parametrize("tid", TEMPLATE_IDS)

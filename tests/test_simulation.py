@@ -277,6 +277,21 @@ def test_remote_lane_content_filter_marks_turn(bounds, templates):
     assert any("content filter" in t.text for t in d.turns)
 
 
+def test_remote_lane_content_filtered_buyer_turn_ends_the_dialogue(bounds, templates):
+    def filtered():
+        return {"choices": [{"finish_reason": "content_filter", "message": {"content": ""}}]}
+
+    session = remote(scripted_transport([("You are a buyer", filtered), *REMOTE_SCRIPT]))
+    d = simulate(
+        session, session, session,
+        SimulationConfig(p_c=0.0, seed=1, max_turns=6),
+        templates, evaluator=session, bounds=bounds,
+    )
+    assert d.error == "content_filter"
+    assert d.outcome is None
+    assert len(d.turns) == 2  # the two openers
+
+
 def test_remote_lane_surfaces_backend_failure(bounds, templates):
     def dead(body):
         raise NetworkError("boom")

@@ -117,7 +117,7 @@ def _exception_classes() -> list[type]:
 def test_cli_reports_every_package_exception(monkeypatch, capsys, exc_class):
     from negotia import cli
 
-    def fail(args, cfg):
+    def fail(args):
         raise exc_class("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "evaluate", fail)
