@@ -118,12 +118,23 @@ def _http_transport(session: BackendSession) -> Callable[[dict], dict]:
     return post
 
 
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``. JSON's "\\ud83d" decodes to a lone
+    surrogate, which no cache entry or later request could then hold."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def chat(session: BackendSession, messages: list[dict]) -> str:
     """Run one chat completion, serving repeats from the on-disk cache.
 
     Cache entries are content-addressed by a digest of the canonical
     serialization of the request body (model, generation params, messages);
-    a hit is one read of ``<digest>.json``, whose ``content`` must be a string.
+    a hit is one read of ``<digest>.json``, whose ``content`` must be a string
+    that UTF-8 can encode, as a reply's must.
     Each writer renames its own temp file into place, so concurrent writers
     of one key never collide; the last rename wins with identical contents.
     Only a transport's ``NetworkError`` is retried; a malformed response or
@@ -152,9 +163,9 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendError(f"unreadable cache entry {cache_path}: {exc!r}") from exc
         else:
-            if isinstance(content, str):
+            if isinstance(content, str) and (content.isascii() or _encodable(content)):
                 return content
-            raise BackendError(f"unreadable cache entry {cache_path}: content is {content!r}")
+            raise BackendError(f"unreadable cache entry {cache_path}: content {content!r} is not UTF-8 text")
 
     transport = session.transport or _http_transport(session)
 
@@ -179,6 +190,8 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         raise BackendError(f"malformed provider response: {exc!r}") from exc
     if not isinstance(content, str):
         raise BackendError(f"malformed provider response: content is {content!r}")
+    if not (content.isascii() or _encodable(content)):
+        raise BackendError("malformed provider response: content holds a lone surrogate")
 
     if cache_path is not None:
         os.makedirs(session.cache_dir, exist_ok=True)

@@ -86,9 +86,13 @@ def _write_json(path: str, obj) -> Path:
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: not JSON: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(text)
+        if "\\u" in text:  # only an escape such as \ud83d decodes to a lone surrogate
+            json.dumps(obj, ensure_ascii=False).encode()  # which fails here
+    except ValueError as exc:  # not UTF-8, not JSON, or a text UTF-8 cannot encode
+        raise CorpusError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+    return obj
 
 
 def _read_object(path: str, **required: type) -> dict:
@@ -178,6 +182,10 @@ def _backend_session(args: argparse.Namespace) -> tuple[BackendSession, Optional
         return BackendSession(kind="scripted"), None
     if not args.api_base or not args.model:
         raise UsageError("remote backend requires --api-base and --model")
+    try:
+        (args.api_base + args.model).encode()  # every request carries both
+    except UnicodeEncodeError:  # a byte of argv that is not UTF-8 arrives as a lone surrogate
+        raise UsageError("--api-base and --model must be UTF-8 text") from None
     session = BackendSession(
         kind="remote",
         endpoint=args.api_base,
@@ -273,6 +281,8 @@ def _impact_fn(args: argparse.Namespace, pool: list[Exemplar]) -> ImpactFn:
 
 def _cmd_filter(args: argparse.Namespace) -> Written:
     pool = load_exemplars(args.pool)
+    if args.sample > len(pool):
+        raise UsageError(f"--sample {args.sample} exceeds the {len(pool)} exemplars in {args.pool}")
     ranked = rank_individuals(pool, args.sample, _impact_fn(args, pool), sample_seed=args.seed)
     out = _write_json(args.out, [{"id": eid, "value_impact": v} for eid, v in ranked])
     return Written([out], {"ranked": len(ranked)}, (Path(args.pool),))
@@ -287,6 +297,8 @@ def _cmd_search(args: argparse.Namespace) -> Written:
         raise CorpusError(f"{args.ranked}: expected a JSON array of objects with 'id' and 'value_impact'")
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
     _from_pool(pool, [eid for eid, _ in ranked], "ranked ids")
+    if args.k >= len(ranked):
+        raise UsageError(f"--k {args.k} leaves no candidates among the {len(ranked)} ids in {args.ranked}")
     s_init, s_cand = split_candidates(ranked, args.k)
 
     best, trace = search_optimal_set(s_init, s_cand, _impact_fn(args, pool), args.m)
@@ -304,6 +316,8 @@ def _cmd_search(args: argparse.Namespace) -> Written:
 
 def _cmd_select(args: argparse.Namespace) -> Written:
     pool = load_exemplars(args.pool)
+    if args.k > len(pool):
+        raise UsageError(f"--k {args.k} exceeds the {len(pool)} exemplars in {args.pool}")
     if args.strategy == "random":
         chosen = select_random(pool, args.k, args.seed)
     else:  # retrieval; argparse admits no other strategy
@@ -318,6 +332,8 @@ def _cmd_select(args: argparse.Namespace) -> Written:
 def _cmd_remediate(args: argparse.Namespace) -> None:
     exemplars = _load_set(args.pool, args.set)
     query = _read_object(args.infile, history=list, violation_text=str)
+    if not query["violation_text"]:
+        raise CorpusError(f"{args.infile}: 'violation_text' must be non-empty")
     try:
         history = turns_from_objs(query["history"])
     except (CorpusError, KeyError, ValueError) as exc:  # KeyError: a turn without a speaker or text
@@ -331,8 +347,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> Written:
     corpus = load_dialogues(args.infile)
     scored = [d for d in corpus if d.outcome is not None]
     excluded = [d.id for d in corpus if d.outcome is None]
-    # With no outcome at all, evaluate_corpus names the dialogues in its error.
-    report = evaluate_corpus(scored or corpus)
+    # evaluate_corpus scores a non-empty list of dialogues that have outcomes.
+    if not corpus:
+        raise CorpusError(f"{args.infile}: no dialogues")
+    if not scored:
+        raise CorpusError(f"{args.infile}: no dialogue has an outcome: {', '.join(excluded[:5])}")
+    report = evaluate_corpus(scored)
     out = _write_json(args.report, asdict(report))
     counts = {"dialogues": report.n, "excluded": len(excluded), "excluded_ids": excluded[:5]}
     return Written([out], counts, (Path(args.infile),))
@@ -341,9 +361,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> Written:
 def _ask(prompt: str) -> str:
     """One stripped line of input; end of input reads as '/quit'."""
     try:
-        return input(prompt).strip()
+        line = input(prompt)
+        line.encode()  # a byte UTF-8 cannot decode may arrive as a lone surrogate
     except EOFError:
         return "/quit"
+    except UnicodeError as exc:  # raised by the decode or by the encode above
+        raise CorpusError(f"standard input: not UTF-8: {exc}") from None
+    return line.strip()
 
 
 def _cmd_interactive(args: argparse.Namespace) -> Written:
@@ -533,7 +557,7 @@ def run(argv: list[str]) -> int:
         return 0
     except SystemExit as exc:  # argparse has printed its message
         return 1 if exc.code else 0
-    except (UsageError, CorpusError, BackendError, TemplateError, ProbeError, OSError, ValueError) as exc:
+    except (UsageError, CorpusError, BackendError, TemplateError, ProbeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 

@@ -484,21 +484,24 @@ def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[dict], Record]
     records: list[Record] = []
     seen: set[str] = set()
     decode = decoder()
-    with path.open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = decode(json.loads(line))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if record.id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+    try:
+        with path.open(encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = decode(json.loads(line))
+                except CorpusError as exc:
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                if record.id in seen:
+                    raise CorpusError(f"{path}:{lineno}: duplicate id {record.id!r}")
+                seen.add(record.id)
+                records.append(record)
+    except UnicodeDecodeError as exc:  # raised by the reader, a chunk at a time
+        raise CorpusError(f"{path}: not a UTF-8 file: {exc}") from exc
     return records
 
 

@@ -93,7 +93,7 @@ class TemplateStore:
             try:
                 obj = json.loads(path.read_text(encoding="utf-8"))
             except FileNotFoundError as exc:
-                raise TemplateError(f"missing template file for {tid!r}") from exc
+                raise TemplateError(f"missing template file {path} for {tid!r}") from exc
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise TemplateError(f"{path}: not a UTF-8 JSON file: {exc}") from None
             raw = obj.get("segments") if isinstance(obj, dict) else None

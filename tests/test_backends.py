@@ -143,6 +143,26 @@ def test_chat_unreadable_cache_entry_is_backend_error(tmp_path, entry):
         chat(session, msgs)
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cache-dir", "no-cache"])
+def test_chat_refuses_a_reply_that_holds_a_lone_surrogate(tmp_path, cached):
+    # JSON's "\ud83d" decodes to a lone surrogate, which UTF-8 cannot encode:
+    # neither a cache entry nor a later request that quotes the reply could hold it.
+    session = remote_session(lambda body: ok_response("ok \ud83d"), cache_dir=tmp_path if cached else None)
+    with pytest.raises(BackendError, match="malformed provider response: content holds a lone surrogate"):
+        chat(session, [{"role": "user", "content": "hi"}])
+    assert list(tmp_path.iterdir()) == []  # no entry, and no temp file left behind
+
+
+def test_chat_refuses_a_cache_entry_that_holds_a_lone_surrogate(tmp_path):
+    session = remote_session(lambda body: ok_response("café"), cache_dir=tmp_path)
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(session, msgs) == "café"
+    [cached] = tmp_path.iterdir()
+    cached.write_text('{"content": "caf\\ud83d"}', encoding="utf-8")
+    with pytest.raises(BackendError, match="unreadable cache entry"):
+        chat(session, msgs)
+
+
 def test_http_transport_retries_unreadable_body(monkeypatch):
     import requests
 

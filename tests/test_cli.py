@@ -944,3 +944,78 @@ def test_interactive_end_of_input_ends_the_session(tmp_path, monkeypatch):
     [d] = load_dialogues(out)
     # The closed input reads as '/quit': a walk-away after the two openers.
     assert len(d.turns) == 2 and not d.outcome.deal
+
+
+INPUT_MISTAKES = {
+    # A flag that asks for more than its file holds: a usage error naming both.
+    "select-k": (["select", "--strategy", "random", "--pool", "{pool}", "--k", "99", "--out", "{out}"],
+                 1, "--k 99 exceeds the 6 exemplars in {pool}"),
+    "select-k-empty-pool": (["select", "--strategy", "random", "--pool", "{empty}", "--k", "1",
+                             "--out", "{out}"], 1, "--k 1 exceeds the 0 exemplars in {empty}"),
+    "filter-sample": (["filter", "--pool", "{pool}", "--sample", "99", "--out", "{out}"],
+                      1, "--sample 99 exceeds the 6 exemplars in {pool}"),
+    "filter-sample-empty-pool": (["filter", "--pool", "{empty}", "--sample", "1", "--out", "{out}"],
+                                 1, "--sample 1 exceeds the 0 exemplars in {empty}"),
+    "search-k": (["search", "--ranked", "{ranked}", "--pool", "{pool}", "--k", "99", "--out", "{out}"],
+                 1, "--k 99 leaves no candidates among the 1 ids in {ranked}"),
+    # Bad file content: a runtime error naming the file.
+    "evaluate-empty": (["evaluate", "--in", "{empty}", "--report", "{out}"], 2, "{empty}: no dialogues"),
+    "evaluate-no-outcome": (["evaluate", "--in", "{unscored}", "--report", "{out}"],
+                            2, "{unscored}: no dialogue has an outcome: sim-0"),
+    "remediate-empty-violation": (["remediate", "--pool", "{pool}", "--set", "{set}", "--in", "{query}"],
+                                  2, "{query}: 'violation_text' must be non-empty"),
+    "remediate-surrogate-violation": (["remediate", "--pool", "{pool}", "--set", "{set}", "--in",
+                                       "{surrogate}"], 2, "{surrogate}: not a UTF-8 JSON file"),
+    "corpus-not-utf8": (["evaluate", "--in", "{latin1}", "--report", "{out}"], 2, "{latin1}: not a UTF-8 file"),
+    "pool-not-utf8": (["select", "--strategy", "random", "--pool", "{latin1}", "--k", "1", "--out", "{out}"],
+                      2, "{latin1}: not a UTF-8 file"),
+    "config-not-utf8": (["--config", "{latin1}", "evaluate", "--in", "{corpus}", "--report", "{out}"],
+                        2, "{latin1}: not a UTF-8 JSON file"),
+    "set-not-utf8": (["remediate", "--pool", "{pool}", "--set", "{latin1}", "--in", "{query}"],
+                     2, "{latin1}: not a UTF-8 JSON file"),
+    # How a byte of argv that is not UTF-8 arrives; every request would carry it.
+    "model-not-utf8": (["--api-base", "http://example.invalid/v1", "--model", "m\udcff", "simulate",
+                        "--backend", "remote", "--out", "{out}"], 1, "--api-base and --model must be UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_MISTAKES))
+def test_input_mistakes_name_their_flag_or_file(tmp_path, capsys, case):
+    # Seen on a 3-dialogue scripted corpus and its 6-exemplar pool.
+    paths = {name: tmp_path / name for name in
+             ("corpus.jsonl", "pool.jsonl", "empty.jsonl", "ranked.json", "unscored.jsonl", "set.json",
+              "query.json", "surrogate.json", "latin1.bin", "out.json")}
+    corpus, pool = paths["corpus.jsonl"], paths["pool.jsonl"]
+    assert run(["simulate", "--n", "3", "--p-c", "0.9", "--seed", "1", "--out", str(corpus)]) == 0
+    assert run(["annotate", "--in", str(corpus), "--out", str(pool)]) == 0
+    ids = [e.id for e in load_exemplars(pool)]
+    assert len(ids) == 6
+    unscored = json.loads(corpus.read_text(encoding="utf-8").splitlines()[0])
+    del unscored["outcome"]
+    paths["empty.jsonl"].write_text("", encoding="utf-8")
+    paths["ranked.json"].write_text(json.dumps([{"id": ids[0], "value_impact": 0.1}]), encoding="utf-8")
+    paths["unscored.jsonl"].write_text(json.dumps(unscored) + "\n", encoding="utf-8")
+    paths["set.json"].write_text(json.dumps({"members": ids[:1]}), encoding="utf-8")
+    paths["query.json"].write_text(json.dumps({"history": [], "violation_text": ""}), encoding="utf-8")
+    paths["surrogate.json"].write_text('{"history": [], "violation_text": "ok \\ud83d"}', encoding="utf-8")
+    paths["latin1.bin"].write_bytes('{"text": "café"}\n'.encode("latin-1"))
+    named = {Path(name).stem: str(p) for name, p in paths.items()}
+    capsys.readouterr()
+    argv, code, message = INPUT_MISTAKES[case]
+    assert run([a.format(**named) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(**named))
+    assert not paths["out.json"].exists()
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_interactive_input_that_is_not_utf8_is_refused(tmp_path, monkeypatch, capsys, errors):
+    def read(prompt=""):  # how sys.stdin decodes the byte 0xff under each error handler
+        return b"hello \xff".decode("utf-8", errors)
+
+    monkeypatch.setattr("builtins.input", read)
+    out = tmp_path / "session.jsonl"
+    assert run(["interactive", "--role", "buyer", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: standard input: not UTF-8: ")
+    assert not out.exists()

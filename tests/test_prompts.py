@@ -41,6 +41,14 @@ def test_store_missing_file(tmp_path):
         TemplateStore(tmp_path)
 
 
+def test_store_missing_file_names_the_path_it_looked_for(tmp_path, templates):
+    buyer = templates.get("buyer")
+    (tmp_path / "buyer.json").write_text(json.dumps({"segments": list(buyer.segments)}), encoding="utf-8")
+    with pytest.raises(TemplateError) as info:
+        TemplateStore(tmp_path)
+    assert str(tmp_path / "seller_violate.json") in str(info.value)
+
+
 def test_store_alternate_directory(tmp_path, templates):
     for tid in TEMPLATE_IDS:
         t = templates.get(tid)

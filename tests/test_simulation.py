@@ -328,6 +328,25 @@ def test_remote_lane_empty_completion_ends_the_dialogue(tmp_path, bounds, templa
     assert len(loaded.turns) == (2 if role == "buyer" else 3)
 
 
+@pytest.mark.parametrize("role", ["buyer", "seller"])
+def test_remote_lane_reply_with_a_lone_surrogate_ends_only_its_dialogue(tmp_path, bounds, templates, role):
+    # A reply UTF-8 cannot encode would break the next request that quotes it
+    # and the corpus write; chat refuses it as a backend error, like an empty one.
+    script = [(f"You are a {role}", "ok \ud83d"), *REMOTE_SCRIPT]
+    session = remote(scripted_transport(script))
+    d = simulate(
+        session, session, session,
+        SimulationConfig(p_c=0.0, seed=1, max_turns=6),
+        templates, evaluator=session, bounds=bounds,
+    )
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues([d], path)
+    [loaded] = load_dialogues(path)
+    assert loaded.error == "backend: malformed provider response: content holds a lone surrogate"
+    assert loaded.outcome is None
+    assert len(loaded.turns) == (2 if role == "buyer" else 3)
+
+
 def test_remote_lane_requires_bounds_templates_evaluator(templates, bounds):
     session = remote(scripted_transport(REMOTE_SCRIPT))
     with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
 """Checks over the source tree: the names the benchmark's tracer wraps and
 the library calls the benchmark makes must stay, the README's CLI examples
-parse, every exported name exists, no handler may catch every exception,
-every file opened as text names its encoding, the CLI reports every
-exception class the package defines, and no module imports a private name of
-another."""
+parse, every exported name exists, the package's names are its modules, no
+handler may catch every exception, every file opened as text names its
+encoding, the CLI reports every exception class the package defines and
+nothing else, and no module imports a private name of another."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import ast
 import importlib
 import shlex
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -46,9 +47,7 @@ def test_benchmark_library_calls(monkeypatch, tmp_path):
     import inputs
     import stub
 
-    from negotia import backends, prompts, simulation
-
-    remediate = importlib.import_module("negotia.remediate")  # the package re-exports the function
+    from negotia import backends, prompts, remediate, simulation
 
     pool = inputs._scripted_pool(0, "t", 4)
     assert len(pool) >= 4
@@ -100,6 +99,24 @@ def test_every_exported_name_exists(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def test_package_names_are_its_modules():
+    # `from negotia import remediate` and `import negotia.remediate as m` both
+    # give the module: the package binds no module member under its own name.
+    import negotia
+
+    tree = ast.parse((ROOT / "src" / "negotia" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    for name in imported:
+        assert getattr(negotia, name) is importlib.import_module(f"negotia.{name}")
+    assert [name for name in negotia.__all__ if not isinstance(getattr(negotia, name), ModuleType)] == []
+
+
 def _exception_classes() -> list[type]:
     """Every exception class defined under src/negotia, but the rollout's own _Halt."""
     found = []
@@ -124,6 +141,19 @@ def test_cli_reports_every_package_exception(monkeypatch, capsys, exc_class):
     code = cli.run(["evaluate", "--in", "in.jsonl", "--report", "r.json"])
     assert code == (1 if exc_class is cli.UsageError else 2)
     assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_cli_lets_a_value_error_propagate(monkeypatch):
+    # Input mistakes are refused as usage or corpus errors before a library
+    # check raises ValueError, so a ValueError that reaches the CLI is a bug.
+    from negotia import cli
+
+    def fail(args):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "evaluate", fail)
+    with pytest.raises(ValueError, match="boom"):
+        cli.run(["evaluate", "--in", "in.jsonl", "--report", "r.json"])
 
 
 def _catch_all_handlers(source: str) -> list[int]:
