@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import NegotiationOutcome, PriceBounds, format_money
+from .core import NegotiationOutcome, PriceBounds, encodable, format_money
 
 __all__ = [
     "BackendSession",
@@ -118,16 +118,6 @@ def _http_transport(session: BackendSession) -> Callable[[dict], dict]:
     return post
 
 
-def _encodable(text: str) -> bool:
-    """Whether UTF-8 can encode ``text``. JSON's "\\ud83d" decodes to a lone
-    surrogate, which no cache entry or later request could then hold."""
-    try:
-        text.encode()
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def chat(session: BackendSession, messages: list[dict]) -> str:
     """Run one chat completion, serving repeats from the on-disk cache.
 
@@ -163,7 +153,7 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendError(f"unreadable cache entry {cache_path}: {exc!r}") from exc
         else:
-            if isinstance(content, str) and (content.isascii() or _encodable(content)):
+            if isinstance(content, str) and encodable(content):
                 return content
             raise BackendError(f"unreadable cache entry {cache_path}: content {content!r} is not UTF-8 text")
 
@@ -190,7 +180,7 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
         raise BackendError(f"malformed provider response: {exc!r}") from exc
     if not isinstance(content, str):
         raise BackendError(f"malformed provider response: content is {content!r}")
-    if not (content.isascii() or _encodable(content)):
+    if not encodable(content):
         raise BackendError("malformed provider response: content holds a lone surrogate")
 
     if cache_path is not None:

@@ -29,6 +29,7 @@ from .core import (
     dialogue_to_obj,
     dump_dialogues,
     dump_exemplars,
+    encodable,
     load_dialogues,
     load_exemplars,
     turns_from_objs,
@@ -88,10 +89,10 @@ def _read_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
         obj = json.loads(text)
-        if "\\u" in text:  # only an escape such as \ud83d decodes to a lone surrogate
-            json.dumps(obj, ensure_ascii=False).encode()  # which fails here
-    except ValueError as exc:  # not UTF-8, not JSON, or a text UTF-8 cannot encode
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise CorpusError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+    if "\\u" in text and not encodable(json.dumps(obj, ensure_ascii=False)):
+        raise CorpusError(f"{path}: not a UTF-8 JSON file: an escape decodes to a lone surrogate")
     return obj
 
 
@@ -182,10 +183,8 @@ def _backend_session(args: argparse.Namespace) -> tuple[BackendSession, Optional
         return BackendSession(kind="scripted"), None
     if not args.api_base or not args.model:
         raise UsageError("remote backend requires --api-base and --model")
-    try:
-        (args.api_base + args.model).encode()  # every request carries both
-    except UnicodeEncodeError:  # a byte of argv that is not UTF-8 arrives as a lone surrogate
-        raise UsageError("--api-base and --model must be UTF-8 text") from None
+    if not encodable(args.api_base + args.model):  # argv's non-UTF-8 bytes arrive as lone surrogates
+        raise UsageError("--api-base and --model must be UTF-8 text")
     session = BackendSession(
         kind="remote",
         endpoint=args.api_base,
@@ -362,11 +361,12 @@ def _ask(prompt: str) -> str:
     """One stripped line of input; end of input reads as '/quit'."""
     try:
         line = input(prompt)
-        line.encode()  # a byte UTF-8 cannot decode may arrive as a lone surrogate
     except EOFError:
         return "/quit"
-    except UnicodeError as exc:  # raised by the decode or by the encode above
+    except UnicodeDecodeError as exc:
         raise CorpusError(f"standard input: not UTF-8: {exc}") from None
+    if not encodable(line):  # a byte UTF-8 cannot decode may arrive as a lone surrogate
+        raise CorpusError(f"standard input: not UTF-8: {line!r} holds a lone surrogate")
     return line.strip()
 
 

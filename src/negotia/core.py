@@ -8,6 +8,7 @@ safe to share between workers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -23,6 +24,7 @@ __all__ = [
     "Exemplar",
     "ExemplarSet",
     "CorpusError",
+    "encodable",
     "validate_dialogue",
     "turns_from_objs",
     "dialogue_to_obj",
@@ -116,8 +118,8 @@ class Dialogue:
 class Exemplar:
     """A candidate ICL demonstration: (history, violating utterance, rewrite).
 
-    ``latent_quality`` is a test-fixture field that drives the scripted
-    bargaining oracle; production code paths never read it.
+    ``latent_quality`` drives the scripted oracle: ``filter`` and ``search``
+    read it in ``RemediationPolicy.scripted_quality`` on every estimate.
     """
 
     id: str
@@ -161,7 +163,7 @@ def _check_turn(t: Turn) -> Checked:
         problems.append("text must be a string")
     elif not t.text:
         problems.append("empty text")
-    elif not _encodable(t.text):
+    elif not encodable(t.text):
         problems.append("text holds a lone surrogate")
     if type(t.violation) is not bool:
         problems.append("violation must be true or false")
@@ -170,14 +172,14 @@ def _check_turn(t: Turn) -> Checked:
             problems.append("original_text must be a string or null")
         if not t.violation:
             problems.append("original_text present but violation=false")
-        if not _encodable(t.original_text):
+        if not encodable(t.original_text):
             problems.append("original_text holds a lone surrogate")
     if t.violation and t.speaker is not Speaker.SELLER:
         problems.append("violation flagged on non-seller turn")
     return t, tuple(problems)
 
 
-def _encodable(text: object) -> bool:
+def encodable(text: object) -> bool:
     """Whether UTF-8 can encode ``text``, when it is a str. A str can hold a
     lone surrogate, which JSON's "\\ud83d" decodes to, and UTF-8 cannot."""
     if type(text) is not str or text.isascii():
@@ -344,7 +346,7 @@ def _record_id(obj: dict) -> str:
     rid = obj["id"]
     if type(rid) is not str:
         raise CorpusError("id must be a string")
-    if not _encodable(rid):
+    if not encodable(rid):
         raise CorpusError("id holds a lone surrogate")
     return rid
 
@@ -456,10 +458,12 @@ def _exemplar_decoder() -> Callable[[dict], Exemplar]:
             raise CorpusError("violation_text, remediation_text and rationale must be strings")
         if not violation or not remediation:
             raise CorpusError("empty text in violation_text or remediation_text")
-        if not (_encodable(violation) and _encodable(remediation) and _encodable(rationale)):
+        if not (encodable(violation) and encodable(remediation) and encodable(rationale)):
             raise CorpusError("violation_text, remediation_text or rationale holds a lone surrogate")
         if quality is not None and type(quality) is not float and type(quality) is not int:
             raise CorpusError("latent_quality must be a number")
+        if quality is not None and not abs(quality) <= sys.float_info.max:  # false for NaN too
+            raise CorpusError("latent_quality must be a finite number")
         return Exemplar(
             id=eid,
             history=_decode_turns(obj["history"], decode_turn),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 
@@ -99,7 +100,10 @@ def _parse_deal(reply: str) -> tuple[bool, int | None]:
         m = re.search(r"-?\d+(?:\.\d+)?", lines[1])
         if not m:
             raise ValueError(f"no price in reply line {lines[1]!r}")
-        return True, round(float(m.group(0)))
+        price = float(m.group(0))
+        if not math.isfinite(price):  # a digit string too long for a float reads as inf
+            raise ValueError("price too large for a float")
+        return True, round(price)
     raise ValueError(f"unrecognised deal reply: {lines[0]!r}")
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .core import Exemplar, Speaker, Turn
+from .core import Exemplar, Speaker, Turn, encodable
 
 __all__ = [
     "WILDCARDS",
@@ -98,10 +98,11 @@ class TemplateStore:
                 raise TemplateError(f"{path}: not a UTF-8 JSON file: {exc}") from None
             raw = obj.get("segments") if isinstance(obj, dict) else None
             if not isinstance(raw, list) or not all(
-                isinstance(s, dict) and type(s.get("role")) is type(s.get("content")) is str for s in raw
+                isinstance(s, dict) and type(s.get("role")) is type(s.get("content")) is str
+                and encodable(s["role"] + s["content"]) for s in raw
             ):
                 raise TemplateError(
-                    f"{path}: expected an array 'segments' of objects with string 'role' and 'content'"
+                    f"{path}: expected an array 'segments' of objects with UTF-8 string 'role' and 'content'"
                 )
             segments = tuple({"role": s["role"], "content": s["content"]} for s in raw)
             self._templates[tid] = PromptTemplate(id=tid, segments=segments)

@@ -327,6 +327,32 @@ def test_scripted_commands_need_no_prompt_templates(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: missing template file")
 
 
+def test_remote_run_refuses_a_template_with_a_lone_surrogate(tmp_path, monkeypatch, capsys):
+    import requests
+
+    from negotia.prompts import TEMPLATE_IDS, TemplateStore
+
+    shipped = TemplateStore()
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    for tid in TEMPLATE_IDS:
+        segments = [dict(seg) for seg in shipped.get(tid).segments]
+        if tid == "buyer":
+            segments[0]["content"] += " \ud83d"  # written as the escape, which JSON reads alone
+        (prompts / f"{tid}.json").write_text(json.dumps({"id": tid, "segments": segments}), encoding="utf-8")
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(args))
+    out = tmp_path / "r.jsonl"
+    assert run(["--api-base", "http://example.invalid/v1", "--model", "m", "--prompts-dir", str(prompts),
+                "simulate", "--backend", "remote", "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {prompts / 'buyer.json'}: expected an array 'segments' of objects with UTF-8 string "
+        "'role' and 'content'\n"
+    )
+    assert posts == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts"]
+
+
 def test_search_refuses_ranked_ids_not_in_pool(tmp_path, capsys):
     pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7))
     ranked = tmp_path / "ranked.json"

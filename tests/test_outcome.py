@@ -180,8 +180,10 @@ def test_evaluate_corpus_errors(bounds):
 
 
 @pytest.mark.parametrize(
-    "deal_reply", ["", "Deal", "Deal\nThe price is still open."],
-    ids=["empty", "deal-without-price-line", "price-line-without-number"],
+    "deal_reply",
+    ["", "Deal", "Deal\nThe price is still open.", "Deal\n$" + "9" * 400, "Deal\n-" + "9" * 400 + ".5"],
+    ids=["empty", "deal-without-price-line", "price-line-without-number", "price-too-large-for-a-float",
+         "negative-price-too-large-for-a-float"],
 )
 def test_assess_outcome_reads_an_incomplete_deal_reply_as_no_deal(bounds, templates, deal_reply):
     def replies(prompt):

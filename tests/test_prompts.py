@@ -71,9 +71,11 @@ def test_store_alternate_directory(tmp_path, templates):
         b'{"segments": [{"role": "user"}]}',
         b'{"segments": [{"role": 1, "content": "hi"}]}',
         b'{"segments": [{"role": "user", "content": 5}]}',
+        b'{"segments": [{"role": "user\\ud83d", "content": "hi"}]}',
+        b'{"segments": [{"role": "user", "content": "caf\\u00e9 \\ud83d"}]}',
     ],
     ids=["not-json", "not-utf8", "array", "no-segments", "segments-object", "segment-string",
-         "no-content", "role-number", "content-number"],
+         "no-content", "role-number", "content-number", "role-surrogate", "content-surrogate"],
 )
 def test_malformed_template_file_is_refused_by_name(tmp_path, templates, content):
     for tid in TEMPLATE_IDS:

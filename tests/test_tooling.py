@@ -3,7 +3,8 @@ the library calls the benchmark makes must stay, the README's CLI examples
 parse, every exported name exists, the package's names are its modules, no
 handler may catch every exception, every file opened as text names its
 encoding, the CLI reports every exception class the package defines and
-nothing else, and no module imports a private name of another."""
+nothing else, no module imports a private name of another, and only core
+tests whether UTF-8 can encode a text."""
 
 from __future__ import annotations
 
@@ -231,6 +232,43 @@ def test_every_text_file_names_its_encoding():
         if (lines := _locale_decoded_opens(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def _utf8_probes(source: str) -> list[int]:
+    """Line numbers of ``.encode(...)`` calls made only to see whether they
+    raise (statements whose result is thrown away), and of handlers that
+    name ``UnicodeEncodeError``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr):
+            call = node.value
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "encode":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == "UnicodeEncodeError" for t in caught):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_utf8_probe_detector():
+    assert _utf8_probes("text.encode()\n(a + b).encode('utf-8')\n") == [1, 2]
+    assert _utf8_probes("try:\n    pass\nexcept UnicodeEncodeError:\n    pass\n") == [3]
+    assert _utf8_probes("try:\n    pass\nexcept (KeyError, UnicodeEncodeError) as e:\n    pass\n") == [3]
+    assert _utf8_probes(
+        "data = text.encode()\nf(text.encode())\ntry:\n    pass\nexcept (UnicodeDecodeError, ValueError):\n    pass\n"
+    ) == []
+
+
+def test_only_core_tests_utf8_encodability():
+    # core.encodable is the package's one test of the rule that every text
+    # it reads, writes or sends is UTF-8; a second copy could drift from it.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (lines := _utf8_probes(path.read_text(encoding="utf-8")))
+    }
+    assert set(found) == {"core.py"}
 
 
 def _private_imports(source: str) -> list[str]:
