@@ -381,11 +381,11 @@ def pool_line(**changes):
 @pytest.mark.parametrize("changes, message", [
     (dict(latent_quality="0.9"), "latent_quality must be a number"),
     (dict(latent_quality=True), "latent_quality must be a number"),
+    (dict(id=["x"]), "id must be a string"),
     (dict(latent_quality=float("nan")), "latent_quality must be a finite number"),
     (dict(latent_quality=float("inf")), "latent_quality must be a finite number"),
     (dict(latent_quality=-float("inf")), "latent_quality must be a finite number"),
     (dict(latent_quality=10**400), "latent_quality must be a finite number"),
-    (dict(id=["x"]), "id must be a string"),
 ])
 def test_exemplar_fields_are_decoded_under_exact_rules(tmp_path, changes, message):
     path = tmp_path / "pool.jsonl"
