@@ -35,7 +35,7 @@ from .core import (
     turns_from_objs,
 )
 from .outcome import evaluate_corpus
-from .prompts import TemplateError, TemplateStore
+from .prompts import TemplateError, TemplateStore, render_conversation
 from .remediate import RemediationPolicy, remediate, silver_annotate
 from .search import ImpactFn, search_optimal_set, split_candidates
 from .selectors import HashedNgramEmbedder, select_random, select_retrieval
@@ -249,7 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Written:
             dialogue_id=f"sim-{i}",
         )
 
-    if session.kind == "scripted":  # pure Python: threads would only contend for the GIL
+    if args.backend == "scripted":  # pure Python: threads would only contend for the GIL
         dialogues = [one(i) for i in range(args.n)]
     else:  # remote calls wait on I/O
         with ThreadPoolExecutor(max_workers=args.workers) as pool_exec:
@@ -381,8 +381,8 @@ def _cmd_interactive(args: argparse.Namespace) -> Written:
         print("Prefix a line with '/flag ' to mark a potential norm violation.")
 
     def show(turns: tuple[Turn, ...]) -> None:
-        for t in turns[shown:]:
-            print(f"{t.speaker.value}: {t.text}")
+        if len(turns) > shown:
+            print(render_conversation(turns[shown:]))
 
     def speak(turns: tuple[Turn, ...]) -> Optional[Turn]:
         nonlocal shown

@@ -387,8 +387,8 @@ def _outcome_fields(o: dict) -> tuple:
     trust, business = o.get("trust_delta", 0), o.get("business_delta", 0)
     if type(deal) is not bool:
         raise CorpusError("outcome deal must be true or false")
-    if deal and type(price) is not int:
-        raise CorpusError("a deal's price must be an integer")
+    if deal and (type(price) is not int or not abs(price) <= sys.float_info.max):
+        raise CorpusError("a deal's price must be an integer that a float can hold")
     if not deal and price is not None:
         raise CorpusError("an outcome without a deal has no price")
     if not (type(trust) is type(business) is int):

@@ -26,6 +26,7 @@ __all__ = [
     "render",
     "format_icl_block",
     "render_conversation",
+    "exemplar_text",
 ]
 
 WILDCARDS = (
@@ -144,6 +145,12 @@ def render_conversation(turns: list[Turn] | tuple[Turn, ...]) -> str:
     return "\n".join(f"{t.speaker.value}: {t.text}" for t in turns)
 
 
+def exemplar_text(e: Exemplar) -> str:
+    """An exemplar's history and violating line: what retrieval matches, and an ICL block quotes."""
+    line = f"{Speaker.SELLER.value}: {e.violation_text}"
+    return f"{render_conversation(e.history)}\n{line}" if e.history else line
+
+
 def format_icl_block(exemplars: list[Exemplar] | tuple[Exemplar, ...]) -> str:
     """Render exemplars in members order as "# Dialogue:" blocks.
 
@@ -152,12 +159,7 @@ def format_icl_block(exemplars: list[Exemplar] | tuple[Exemplar, ...]) -> str:
     """
     blocks = []
     for e in exemplars:
-        lines = ["# Dialogue:"]
-        for t in e.history:
-            lines.append(f"{t.speaker.value}: {t.text}")
-        lines.append(f"{Speaker.SELLER.value}: {e.violation_text} [violation]")
-        lines.append("# Remediation:")
-        lines.append(e.remediation_text)
+        lines = ["# Dialogue:", exemplar_text(e) + " [violation]", "# Remediation:", e.remediation_text]
         if e.rationale is not None:
             lines.append(e.rationale)
         blocks.append("\n".join(lines))

@@ -8,11 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Exemplar, ExemplarSet
-from .prompts import render_conversation
+from .prompts import exemplar_text
 
 __all__ = [
     "HashedNgramEmbedder",
-    "exemplar_text",
     "select_random",
     "select_retrieval",
 ]
@@ -41,12 +40,6 @@ class HashedNgramEmbedder:
         if norm > 0:
             vec /= norm
         return vec
-
-
-def exemplar_text(e: Exemplar) -> str:
-    """The text a retrieval query is matched against: history + violation."""
-    history = render_conversation(e.history)
-    return f"{history}\nseller: {e.violation_text}" if history else f"seller: {e.violation_text}"
 
 
 def select_random(pool: list[Exemplar], k: int, seed: int) -> ExemplarSet:

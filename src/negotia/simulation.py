@@ -113,11 +113,10 @@ class _Halt(Exception):
 class _ScriptedLane:
     """The bargaining world speaks for both agents and decides the end."""
 
-    def __init__(self, world: ScriptedWorld, max_turns: int):
+    def __init__(self, world: ScriptedWorld):
         self.world = world
         self.bounds = world.bounds
         self.state = BargainState.initial(world)
-        self.max_turns = max_turns
 
     def buyer(self, turns: list[Turn]) -> str:
         return scripted_step(self.world, self.state, "buyer")
@@ -131,7 +130,7 @@ class _ScriptedLane:
         scripted_step(self.world, self.state, "seller", violation=True, remediation=rewrite)
 
     def done(self, turns: list[Turn]) -> bool:
-        return self.state.terminal or len(turns) >= self.max_turns
+        return self.state.terminal
 
     def dialogue(self, turns: list[Turn], dialogue_id: str) -> Dialogue:
         # A bargain still open at the turn cap, or left by a player, ends without a deal.
@@ -140,7 +139,7 @@ class _ScriptedLane:
 
 
 class _RemoteLane:
-    """Chat sessions speak; the moderator judges every new utterance.
+    """Chat sessions speak; the moderator judges each new utterance under the cap.
 
     A seller turn refused by the content filter is recorded as withheld and
     not judged; any other backend failure, the evaluator's too, or an empty
@@ -155,14 +154,12 @@ class _RemoteLane:
         evaluator: BackendSession,
         templates: TemplateStore,
         bounds: PriceBounds,
-        max_turns: int,
     ):
         self.sessions = {"seller": seller, "buyer": buyer}
         self.moderator = moderator
         self.evaluator = evaluator
         self.templates = templates
         self.bounds = bounds
-        self.max_turns = max_turns
         self.prices = {
             "SELLER_INIT_PRICE": format_money(bounds.seller_init),
             "COST_PRICE": format_money(bounds.cost_price),
@@ -200,9 +197,9 @@ class _RemoteLane:
 
     def done(self, turns: list[Turn]) -> bool:
         if not self.unjudged:  # the openers, or a withheld seller line
-            return len(turns) >= self.max_turns
+            return False
         self.unjudged = False
-        return moderator_end(tuple(turns), self.moderator, templates=self.templates, max_turns=self.max_turns)
+        return moderator_end(tuple(turns), self.moderator, templates=self.templates)
 
     def dialogue(self, turns: list[Turn], dialogue_id: str) -> Dialogue:
         d = Dialogue(id=dialogue_id, topic=_TOPIC, bounds=self.bounds, turns=tuple(turns), error=self.error)
@@ -224,23 +221,24 @@ def _rollout(
 ) -> tuple[list[Turn], Optional[str]]:
     """Run the negotiation loop from the opening turns over a lane.
 
-    Each round the buyer speaks, then the seller, each followed by
-    ``lane.done``; every unsuppressed seller turn flips one Bernoulli(p_c)
-    coin, and heads ask ``lane.seller`` for a violating utterance, which the
-    remediator may rewrite before ``lane.violated`` lands it. Returns the
-    turns and None, except that with ``stop_at_violation`` the loop returns
-    at the first head with the raw violating text (lane state not yet
-    charged). ``forced_remediation`` applies the given rewrite at the first
-    head instead of consulting a remediator and suppresses later heads, which
-    enforces the single-point rule for value-estimation rollouts.
+    Each round the buyer speaks, then the seller. After each turn the loop
+    stops at the turn cap before it asks ``lane.done``. Every unsuppressed
+    seller turn flips one Bernoulli(p_c) coin, and heads ask ``lane.seller``
+    for a violating utterance, which the remediator may rewrite before
+    ``lane.violated`` lands it. Returns the turns and None, except that with
+    ``stop_at_violation`` the loop returns at the first head with the raw
+    violating text (lane state not yet charged). ``forced_remediation``
+    applies the given rewrite at the first head instead of consulting a
+    remediator and suppresses later heads, which enforces the single-point
+    rule for value-estimation rollouts.
     """
     turns = _opening_turns(lane.bounds)
     rng = random.Random(config.seed)
     flip = True
     try:
-        while not lane.done(turns):
+        while len(turns) < config.max_turns and not lane.done(turns):
             turns.append(Turn(speaker=_BUYER, text=lane.buyer(turns)))
-            if lane.done(turns):
+            if len(turns) >= config.max_turns or lane.done(turns):
                 break
             violate = flip and rng.random() < config.p_c
             text = lane.seller(turns, violate)
@@ -279,17 +277,14 @@ def moderator_end(
     backend: BackendSession,
     *,
     templates: TemplateStore,
-    max_turns: int = 20,
 ) -> bool:
     """Decide whether a remote negotiation has concluded.
 
-    Asks a yes/no judgment prompt unless the turn cap is reached. A failing
-    moderator counts as "continue", bounded by the turn cap.
+    Asks a yes/no judgment prompt. A failing moderator counts as "continue";
+    the rollout loop's turn cap still ends the dialogue.
     """
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
-    if len(trajectory) >= max_turns:
-        return True
     conv = render_conversation(trajectory)
     msgs = render(templates.get("moderator"), {"$CONVERSATION": conv})
     try:
@@ -322,11 +317,11 @@ def simulate(
     if seller.kind == "scripted":
         if world is None:
             raise ValueError("scripted simulation requires a world")
-        lane = _ScriptedLane(world, config.max_turns)
+        lane = _ScriptedLane(world)
     else:
         if bounds is None or templates is None or evaluator is None:
             raise ValueError("remote simulation requires bounds, templates, and an evaluator")
-        lane = _RemoteLane(seller, buyer, moderator, evaluator, templates, bounds, config.max_turns)
+        lane = _RemoteLane(seller, buyer, moderator, evaluator, templates, bounds)
     turns, _ = _rollout(lane, config, remediator)
     return lane.dialogue(turns, dialogue_id)
 
@@ -342,7 +337,7 @@ def rollout_to_first_violation(
     """
     if config.p_c <= 0.0:
         return None
-    turns, raw = _rollout(_ScriptedLane(world, config.max_turns), config, None, stop_at_violation=True)
+    turns, raw = _rollout(_ScriptedLane(world), config, None, stop_at_violation=True)
     if raw is None:
         return None
     return ViolationPoint(prefix=tuple(turns), violation_text=raw, seed=config.seed)
@@ -364,7 +359,7 @@ def continue_rollout(
     if not remediation:
         raise ValueError("remediation text must be non-empty")
     replay = replace(config, seed=point.seed)
-    lane = _ScriptedLane(world, replay.max_turns)
+    lane = _ScriptedLane(world)
     turns, _ = _rollout(lane, replay, None, forced_remediation=remediation)
     return lane.dialogue(turns, "probe-0")
 
@@ -380,10 +375,10 @@ def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20)
     quality the world reads back. The dialogue ends at a deal, a walk-away,
     the turn cap, or when ``speak`` returns None; it always has an outcome.
     """
-    lane = _ScriptedLane(world, max_turns)
+    lane = _ScriptedLane(world)
     turns = _opening_turns(world.bounds)
     speaker = _BUYER
-    while not lane.done(turns):
+    while len(turns) < max_turns and not lane.done(turns):
         turn = speak(tuple(turns)) if speaker is role else None
         if turn is None and speaker is role:  # the player left
             break

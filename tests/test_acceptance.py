@@ -20,9 +20,9 @@ from negotia.backends import (
 from negotia.cli import run as cli_run
 from negotia.core import Exemplar, NegotiationOutcome, PriceBounds, Speaker, Turn
 from negotia.outcome import reward
-from negotia.prompts import WILDCARDS, format_icl_block, render
+from negotia.prompts import WILDCARDS, exemplar_text, format_icl_block, render
 from negotia.search import search_optimal_set
-from negotia.selectors import HashedNgramEmbedder, exemplar_text, select_retrieval
+from negotia.selectors import HashedNgramEmbedder, select_retrieval
 from negotia.simulation import SimulationConfig, simulate
 from negotia.valueimpact import build_probe_set, make_impact_fn, value_of_remediation
 

@@ -935,6 +935,17 @@ def test_annotate_refuses_a_turn_text_that_is_not_a_string(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_refuses_a_deal_price_beyond_a_float(tmp_path, capsys):
+    records = [json.loads(line) for line in simulate_corpus(tmp_path).read_text(encoding="utf-8").splitlines()]
+    n = next(i for i, r in enumerate(records) if r["outcome"]["deal"])
+    records[n]["outcome"]["price"] = 10**400
+    path, report = tmp_path / "huge.jsonl", tmp_path / "report.json"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert run(["evaluate", "--in", str(path), "--report", str(report)]) == 2
+    assert f"{path}:{n + 1}: a deal's price must be an integer that a float can hold" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_remediate_switch_takes_only_on_or_off(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     assert run(["simulate", "--remediate", "maybe", "--out", str(out)]) == 1

@@ -333,6 +333,7 @@ BROKEN_RECORDS = {
     "price as a string": (dict(outcome__price="4000"), "price must be an integer"),
     "price as a float": (dict(outcome__price=4000.0), "price must be an integer"),
     "price as a bool": (dict(outcome__price=True), "price must be an integer"),
+    "price beyond a float": (dict(outcome__price=10**400), "price must be an integer that a float can hold"),
     "deal without a price": (dict(outcome__price=...), "price must be an integer"),
     "price without a deal": (dict(outcome__deal=False), "without a deal has no price"),
     "trust_delta as a fraction": (dict(outcome__trust_delta=0.9), "must be integers"),

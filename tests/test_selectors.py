@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from negotia.prompts import exemplar_text
 from negotia.selectors import (
     HashedNgramEmbedder,
-    exemplar_text,
     select_random,
     select_retrieval,
 )

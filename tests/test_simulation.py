@@ -196,7 +196,16 @@ REMOTE_SCRIPT = [
 
 
 def test_remote_lane_end_to_end(bounds, templates):
-    session = remote(scripted_transport(REMOTE_SCRIPT))
+    post = scripted_transport(REMOTE_SCRIPT)
+    judged = []  # the turns each moderator request shows
+
+    def transport(body):
+        prompt = "\n".join(m["content"] for m in body["messages"])
+        if "You are the moderator" in prompt:
+            judged.append(sum(line.startswith(("buyer: ", "seller: ")) for line in prompt.splitlines()))
+        return post(body)
+
+    session = remote(transport)
     d = simulate(
         session, session, session,
         SimulationConfig(p_c=0.0, seed=1, max_turns=6),
@@ -207,6 +216,8 @@ def test_remote_lane_end_to_end(bounds, templates):
     assert d.outcome.deal and d.outcome.price == 45
     assert d.outcome.trust_delta == 1 and d.outcome.business_delta == 1
     assert len(d.turns) == 6
+    # The loop stops at the cap before the moderator is asked about turn 6.
+    assert judged == [3, 4, 5]
 
 
 def test_moderator_end_remote(templates):
@@ -218,8 +229,6 @@ def test_moderator_end_remote(templates):
 
     turns = (Turn(speaker=Speaker.BUYER, text=BUYER_OPENER),)
     session = remote(transport)
-    assert moderator_end(turns * 20, session, templates=templates, max_turns=20) is True
-    assert calls == []
     assert moderator_end(turns, session, templates=templates) is True
     assert len(calls) == 1
 
@@ -361,6 +370,20 @@ def test_play_charges_flagged_seller_turns(world):
     assert validate_dialogue(d) == []
     # Two unremediated violations use up the goodwill: the buyer walks away.
     assert [t.violation for t in d.turns[2:]] == [False, True, False, True]
+    assert d.outcome is not None and not d.outcome.deal
+
+
+@pytest.mark.parametrize("role", [Speaker.BUYER, Speaker.SELLER])
+@pytest.mark.parametrize("max_turns", [7, 8])
+def test_play_stops_at_the_turn_cap(bounds, role, max_turns):
+    # Slow concessions keep the bargain open, and the player never leaves.
+    slow = ScriptedWorld(bounds=bounds, concession_buyer=0.01, concession_seller=0.01, close_tolerance=0)
+
+    def speak(turns):
+        return Turn(speaker=role, text="Let us keep talking.")
+
+    d = play(slow, role, speak, max_turns)
+    assert len(d.turns) == max_turns
     assert d.outcome is not None and not d.outcome.deal
 
 

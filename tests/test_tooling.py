@@ -3,8 +3,9 @@ the library calls the benchmark makes must stay, the README's CLI examples
 parse, every exported name exists, the package's names are its modules, no
 handler may catch every exception, every file opened as text names its
 encoding, the CLI reports every exception class the package defines and
-nothing else, no module imports a private name of another, and only core
-tests whether UTF-8 can encode a text."""
+nothing else, no module imports a private name of another, only core
+tests whether UTF-8 can encode a text, and only prompts writes a
+``speaker: text`` transcript line."""
 
 from __future__ import annotations
 
@@ -269,6 +270,54 @@ def test_only_core_tests_utf8_encodability():
         if (lines := _utf8_probes(path.read_text(encoding="utf-8")))
     }
     assert set(found) == {"core.py"}
+
+
+def _speaker_value(node: ast.expr) -> bool:
+    """Whether an expression is ``<x>.speaker.value`` or ``Speaker.<ROLE>.value``."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "value" and isinstance(node.value, ast.Attribute)):
+        return False
+    owner = node.value
+    return owner.attr == "speaker" or (isinstance(owner.value, ast.Name) and owner.value.id == "Speaker")
+
+
+def _names_a_speaker(text: str) -> bool:
+    return "seller: " in text or "buyer: " in text
+
+
+def _transcript_lines(source: str) -> list[int]:
+    """Line numbers of f-strings that format a speaker's value directly
+    followed by ``": "``, and of string constants holding ``seller: `` or
+    ``buyer: ``: each writes a ``speaker: text`` transcript line."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):  # an f-string's literal parts are Constant nodes too
+        if isinstance(node, ast.JoinedStr) and any(
+            isinstance(a, ast.FormattedValue) and _speaker_value(a.value)
+            and isinstance(b, ast.Constant) and b.value.startswith(": ")
+            for a, b in zip(node.values, node.values[1:])
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _names_a_speaker(node.value):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_transcript_line_detector():
+    assert _transcript_lines('f"{t.speaker.value}: {t.text}"\nf"{Speaker.SELLER.value}: {x}"\n') == [1, 2]
+    assert _transcript_lines('x = "seller: hi"\ny = f"{h}\\nbuyer: {x}"\n') == [1, 2]
+    assert _transcript_lines(
+        'f"{t.speaker.value}> "\nf"You are the {role.value}: "\nf"{Speaker.SELLER.value}"\n"seller"\n'
+    ) == []
+
+
+def test_only_prompts_writes_a_transcript_line():
+    # Retrieval matches against the same transcript text that prompts and
+    # ICL blocks quote; a second writer of the line could drift from it.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (lines := _transcript_lines(path.read_text(encoding="utf-8")))
+    }
+    assert set(found) == {"prompts.py"}
 
 
 def _private_imports(source: str) -> list[str]:
