@@ -27,6 +27,7 @@ __all__ = [
     "chat",
     "ScriptedWorld",
     "BargainState",
+    "bargain_move",
     "scripted_step",
     "scripted_outcome",
     "scripted_remediation_text",
@@ -39,7 +40,8 @@ API_KEY_ENV = "NEGOTIA_API_KEY"
 
 # Quality tag parsed by the scripted world from remediation texts. The tag is
 # how remediation strength flows from the remediator back into the oracle.
-_QUALITY_TAG = re.compile(r"\[q=([0-9.]+)\]")
+# Only a decimal number is a quality: "[q=.]" or "[q=1.2.3]" is no tag.
+_QUALITY_TAG = re.compile(r"\[q=([0-9]+(?:\.[0-9]*)?|\.[0-9]+)\]")
 
 
 class BackendError(Exception):
@@ -246,7 +248,8 @@ class BargainState:
 
 
 def remediation_quality(text: str) -> float:
-    """Extract the scripted quality tag from a remediation; absent means 0."""
+    """Extract the scripted quality tag from a remediation; a text with no
+    decimal ``[q=...]`` tag reads as 0."""
     m = _QUALITY_TAG.search(text)
     if not m:
         return 0.0
@@ -270,21 +273,22 @@ def scripted_violation_text(ask: float) -> str:
     )
 
 
-def scripted_step(
+def bargain_move(
     world: ScriptedWorld,
     state: BargainState,
     role: str,
     violation: bool = False,
-    remediation: Optional[str] = None,
-) -> str:
-    """Emit one utterance for the given role and update the bargain state.
+    quality: Optional[float] = None,
+) -> None:
+    """Apply one turn of the given role to the bargain state.
 
-    The buyer call for a round must precede the seller call; the pending bid
-    and ask are computed together at the buyer call, from the previous
+    The buyer move for a round must precede the seller move; the pending bid
+    and ask are computed together at the buyer move, from the previous
     round's numbers, so both move simultaneously. A seller violation
-    decrements goodwill by one; an accompanying remediation restores its
-    parsed quality. The seller call ends the bargain: with a deal when the
-    gap has closed, without one when goodwill is spent.
+    decrements goodwill by one; a remediation of the given quality restores
+    that quality, and a violation without one counts as unremediated. The
+    seller move ends the bargain: with a deal when the gap has closed,
+    without one when goodwill is spent.
     """
     if state.terminal:
         raise BackendError("scripted world stepped after terminal state")
@@ -294,10 +298,7 @@ def scripted_step(
         factor = max(state.goodwill, 0.0) / 2.0
         state.bid += world.concession_buyer * gap * factor
         state.pending_ask = state.ask - world.concession_seller * gap
-        return (
-            f"Would you consider selling at {format_money(round(state.bid))} per unit? "
-            "That price would work well for us."
-        )
+        return
 
     if role != "seller":
         raise BackendError(f"unknown scripted role: {role}")
@@ -307,24 +308,39 @@ def scripted_step(
         state.pending_ask = None
     if violation:
         state.goodwill -= 1.0
-        if remediation is not None:
-            q = remediation_quality(remediation)
-            state.goodwill += q
-            state.remediation_qualities.append(q)
-            text = remediation
+        if quality is not None:
+            state.goodwill += quality
+            state.remediation_qualities.append(quality)
         else:
             state.unremediated_violations += 1
-            text = scripted_violation_text(state.ask)
-    else:
-        text = (
-            f"Considering our costs, we can come down to {format_money(round(state.ask))} per unit. "
-            "We value a long-term relationship with you."
-        )
 
     # Close rule, evaluated after the seller's number lands.
     state.deal = state.ask - state.bid <= world.close_tolerance or state.bid >= state.ask
     state.terminal = state.deal or state.goodwill <= 0.0
-    return text
+
+
+def scripted_step(
+    world: ScriptedWorld,
+    state: BargainState,
+    role: str,
+    violation: bool = False,
+    remediation: Optional[str] = None,
+) -> str:
+    """Apply ``bargain_move`` with the remediation's quality, then say the
+    role's scripted line, or for a violation the remediation if given."""
+    quality = remediation_quality(remediation) if violation and remediation is not None else None
+    bargain_move(world, state, role, violation, quality)
+    if role == "buyer":
+        return (
+            f"Would you consider selling at {format_money(round(state.bid))} per unit? "
+            "That price would work well for us."
+        )
+    if not violation:
+        return (
+            f"Considering our costs, we can come down to {format_money(round(state.ask))} per unit. "
+            "We value a long-term relationship with you."
+        )
+    return scripted_violation_text(state.ask) if remediation is None else remediation
 
 
 def scripted_outcome(world: ScriptedWorld, state: BargainState) -> NegotiationOutcome:

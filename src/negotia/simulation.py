@@ -19,12 +19,14 @@ from .backends import (
     BargainState,
     ContentFilterError,
     ScriptedWorld,
+    bargain_move,
     chat,
+    remediation_quality,
     scripted_outcome,
     scripted_step,
     scripted_violation_text,
 )
-from .core import Dialogue, PriceBounds, Speaker, Topic, Turn, format_money
+from .core import Dialogue, NegotiationOutcome, PriceBounds, Speaker, Topic, Turn, format_money
 from .outcome import assess_outcome
 from .prompts import TemplateStore, render, render_conversation
 
@@ -36,6 +38,7 @@ __all__ = [
     "moderator_end",
     "rollout_to_first_violation",
     "continue_rollout",
+    "replay_outcome",
     "Speak",
     "play",
     "BUYER_OPENER",
@@ -362,6 +365,33 @@ def continue_rollout(
     lane = _ScriptedLane(world)
     turns, _ = _rollout(lane, replay, None, forced_remediation=remediation)
     return lane.dialogue(turns, "probe-0")
+
+
+def replay_outcome(
+    world: ScriptedWorld,
+    config: SimulationConfig,
+    point: ViolationPoint,
+    remediation: str,
+) -> NegotiationOutcome:
+    """``continue_rollout(world, config, point, remediation).outcome``, from
+    ``_rollout``'s turn cap and coin rule run over ``bargain_move`` alone,
+    with no turn or text built: value estimation keeps only the outcome.
+    """
+    if not remediation:
+        raise ValueError("remediation text must be non-empty")
+    state = BargainState.initial(world)
+    rng = random.Random(point.seed)
+    flip = True
+    n = 2  # the opening turns
+    while n < config.max_turns and not state.terminal:
+        bargain_move(world, state, "buyer")
+        if n + 1 >= config.max_turns:  # a buyer move never ends the bargain
+            break
+        head = flip and rng.random() < config.p_c
+        flip = flip and not head  # the first head lands the rewrite; later ones are suppressed
+        bargain_move(world, state, "seller", head, remediation_quality(remediation) if head else None)
+        n += 2
+    return scripted_outcome(world, state)
 
 
 def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20) -> Dialogue:

@@ -21,7 +21,7 @@ from .search import ImpactFn
 from .simulation import (
     SimulationConfig,
     ViolationPoint,
-    continue_rollout,
+    replay_outcome,
     rollout_to_first_violation,
 )
 
@@ -68,9 +68,7 @@ class ValueEstimate:
 
 def make_scripted_rollout_fn(world: ScriptedWorld, config: SimulationConfig) -> RolloutFn:
     def run(point: ViolationPoint, rewrite: str) -> float:
-        d = continue_rollout(world, config, point, rewrite)
-        assert d.outcome is not None
-        return reward(d.outcome, world.bounds)
+        return reward(replay_outcome(world, config, point, rewrite), world.bounds)
 
     return run
 

@@ -336,6 +336,21 @@ def test_remediation_quality_parsing():
     assert remediation_quality(scripted_remediation_text(0.42)) == pytest.approx(0.42)
 
 
+@pytest.mark.parametrize("tag", ["[q=.]", "[q=1.2.3]", "[q=..5]", "[q=]"])
+def test_remediation_quality_reads_a_malformed_tag_as_absent(tag):
+    # Only a decimal number is a quality; anything else in the brackets is text.
+    assert remediation_quality(f"x {tag}") == 0.0
+    assert remediation_quality(f"x {tag} then [q=0.25]") == 0.25
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.0)
+@example(1.0)
+def test_every_six_decimal_tag_reads_as_its_value(q):
+    assert remediation_quality(scripted_remediation_text(q)) == float(f"{q:.6f}")
+    assert remediation_quality(f"[q={q:.6f}]".replace("[q=0.", "[q=.")) == float(f"{q:.6f}")
+
+
 def test_scripted_closing_trace():
     # Opening $30 vs $50 with rate 0.5 each: round one lands both at $40.
     world = ScriptedWorld(

@@ -3,18 +3,23 @@ the remote lane against a stubbed transport."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negotia.backends import BackendSession, NetworkError, ScriptedWorld
+from negotia.backends import BackendSession, NetworkError, ScriptedWorld, scripted_remediation_text
 from negotia.core import Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
+from negotia.outcome import reward
 from negotia.simulation import (
     BUYER_OPENER,
     SimulationConfig,
+    ViolationPoint,
     continue_rollout,
     moderator_end,
     play,
+    replay_outcome,
     rollout_to_first_violation,
     seller_opener,
     simulate,
@@ -153,6 +158,51 @@ def test_scripted_rollouts_share_one_loop(world, scripted_session, seed, p_c, ma
     assert len(c.turns) <= max_turns
     assert c.turns[:n] == point.prefix
     assert sum(t.violation for t in c.turns) == 1
+
+
+_RATE = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    concession_buyer=_RATE,
+    concession_seller=_RATE,
+    goodwill=st.floats(min_value=0.05, max_value=6.0),
+    close_tolerance=st.sampled_from([0, 1, 50, 400]) | st.integers(min_value=0, max_value=2000),
+    p_c=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    max_turns=st.integers(min_value=2, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    rewrite=st.sampled_from([0.0, 1.0]).map(scripted_remediation_text)
+    | st.floats(min_value=0.0, max_value=1.0).map(scripted_remediation_text)
+    | st.text(min_size=1),
+)
+def test_replay_outcome_is_continue_rollouts_outcome(
+    bounds, concession_buyer, concession_seller, goodwill, close_tolerance, p_c, max_turns, seed, rewrite
+):
+    # replay_outcome holds a second copy of the rollout loop's turn cap and
+    # coin rule; this pins it to the loop that builds the dialogue.
+    world = ScriptedWorld(
+        bounds=bounds, concession_buyer=concession_buyer, concession_seller=concession_seller,
+        goodwill=goodwill, close_tolerance=close_tolerance,
+    )
+    config = SimulationConfig(p_c=p_c, max_turns=max_turns, seed=seed)
+    # A seed whose rollout never violates still makes a probe point to replay.
+    point = rollout_to_first_violation(world, config) or ViolationPoint(prefix=(), violation_text="", seed=seed)
+    # Both read the point's seed, not the config's.
+    other = replace(config, seed=seed + 1)
+    expected = continue_rollout(world, other, point, rewrite).outcome
+    replayed = replay_outcome(world, other, point, rewrite)
+    assert replayed == expected
+    assert reward(replayed, bounds).hex() == reward(expected, bounds).hex()
+
+
+def test_replay_and_continue_rollout_refuse_an_empty_rewrite(world):
+    config = SimulationConfig(p_c=1.0, seed=9)
+    point = rollout_to_first_violation(world, config)
+    with pytest.raises(ValueError, match="non-empty"):
+        continue_rollout(world, config, point, "")
+    with pytest.raises(ValueError, match="non-empty"):
+        replay_outcome(world, config, point, "")
 
 
 # ---------------------------------------------------------------------------

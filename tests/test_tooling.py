@@ -4,8 +4,9 @@ parse, every exported name exists, the package's names are its modules, no
 handler may catch every exception, every file opened as text names its
 encoding, the CLI reports every exception class the package defines and
 nothing else, no module imports a private name of another, only core
-tests whether UTF-8 can encode a text, and only prompts writes a
-``speaker: text`` transcript line."""
+tests whether UTF-8 can encode a text, only prompts writes a
+``speaker: text`` transcript line, and only the bargaining transition
+writes a bargain state."""
 
 from __future__ import annotations
 
@@ -346,3 +347,53 @@ def test_no_private_imports_between_modules():
         if (names := _private_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+BARGAIN_FIELDS = {
+    "bid", "ask", "goodwill", "terminal", "deal", "pending_ask", "remediation_qualities", "unremediated_violations",
+}
+
+
+def _bargain_state_writes(source: str) -> list[tuple[str, int]]:
+    """The enclosing function and line of each store to a ``BargainState``
+    field's name and of each ``.append`` or ``.extend`` on one."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.Attribute) and child.attr in BARGAIN_FIELDS and isinstance(child.ctx, ast.Store):
+                found.append((where, child.lineno))
+            elif (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("append", "extend")
+                and isinstance(child.func.value, ast.Attribute) and child.func.value.attr in BARGAIN_FIELDS
+            ):
+                found.append((where, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_bargain_state_write_detector():
+    assert _bargain_state_writes("def f(s):\n    s.bid = 1\n    s.ask += 2\n") == [("f", 2), ("f", 3)]
+    assert _bargain_state_writes("class C:\n    def g(self):\n        self.s.deal, x = True, 1\n") == [("C.g", 3)]
+    assert _bargain_state_writes("s.remediation_qualities.append(q)\n") == [("", 1)]
+    assert _bargain_state_writes(
+        "def f(s):\n    x = s.bid\n    s.turns.append(t)\n    g(goodwill=1)\n    s.other = s.ask\n"
+    ) == []
+
+
+def test_only_the_transition_writes_bargain_state():
+    # The bargaining rules live in backends.bargain_move, which both the
+    # rollout that builds a dialogue and the state-only replay call.
+    writers = {
+        (path.name, where)
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        for where, _ in _bargain_state_writes(path.read_text(encoding="utf-8"))
+    }
+    assert ("backends.py", "bargain_move") in writers
+    assert writers <= {("backends.py", "bargain_move"), ("backends.py", "BargainState.initial")}
