@@ -323,24 +323,19 @@ def scripted_step(
     world: ScriptedWorld,
     state: BargainState,
     role: str,
-    violation: bool = False,
-    remediation: Optional[str] = None,
 ) -> str:
-    """Apply ``bargain_move`` with the remediation's quality, then say the
-    role's scripted line, or for a violation the remediation if given."""
-    quality = remediation_quality(remediation) if violation and remediation is not None else None
-    bargain_move(world, state, role, violation, quality)
+    """Apply ``bargain_move``, then say the role's scripted line. A seller
+    violation is no step: it lands through ``bargain_move`` directly."""
+    bargain_move(world, state, role)
     if role == "buyer":
         return (
             f"Would you consider selling at {format_money(round(state.bid))} per unit? "
             "That price would work well for us."
         )
-    if not violation:
-        return (
-            f"Considering our costs, we can come down to {format_money(round(state.ask))} per unit. "
-            "We value a long-term relationship with you."
-        )
-    return scripted_violation_text(state.ask) if remediation is None else remediation
+    return (
+        f"Considering our costs, we can come down to {format_money(round(state.ask))} per unit. "
+        "We value a long-term relationship with you."
+    )
 
 
 def scripted_outcome(world: ScriptedWorld, state: BargainState) -> NegotiationOutcome:

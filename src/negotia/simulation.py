@@ -130,7 +130,8 @@ class _ScriptedLane:
         return scripted_step(self.world, self.state, "seller")
 
     def violated(self, rewrite: Optional[str]) -> None:
-        scripted_step(self.world, self.state, "seller", violation=True, remediation=rewrite)
+        quality = None if rewrite is None else remediation_quality(rewrite)
+        bargain_move(self.world, self.state, "seller", True, quality)
 
     def done(self, turns: list[Turn]) -> bool:
         return self.state.terminal
@@ -219,18 +220,15 @@ def _rollout(
     config: SimulationConfig,
     remediator: Optional[Remediator],
     *,
-    stop_at_violation: bool = False,
     forced_remediation: Optional[str] = None,
-) -> tuple[list[Turn], Optional[str]]:
+) -> list[Turn]:
     """Run the negotiation loop from the opening turns over a lane.
 
     Each round the buyer speaks, then the seller. After each turn the loop
     stops at the turn cap before it asks ``lane.done``. Every unsuppressed
     seller turn flips one Bernoulli(p_c) coin, and heads ask ``lane.seller``
     for a violating utterance, which the remediator may rewrite before
-    ``lane.violated`` lands it. Returns the turns and None, except that with
-    ``stop_at_violation`` the loop returns at the first head with the raw
-    violating text (lane state not yet charged). ``forced_remediation``
+    ``lane.violated`` lands it. Returns the turns. ``forced_remediation``
     applies the given rewrite at the first head instead of consulting a
     remediator and suppresses later heads, which enforces the single-point
     rule for value-estimation rollouts.
@@ -249,8 +247,6 @@ def _rollout(
                 turns.append(Turn(speaker=_SELLER, text=WITHHELD))
             elif not violate:
                 turns.append(Turn(speaker=_SELLER, text=text))
-            elif stop_at_violation:
-                return turns, text
             else:
                 if forced_remediation is not None:
                     rewrite: Optional[str] = forced_remediation
@@ -268,7 +264,7 @@ def _rollout(
                     )
     except _Halt:
         pass
-    return turns, None
+    return turns
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def simulate(
         if bounds is None or templates is None or evaluator is None:
             raise ValueError("remote simulation requires bounds, templates, and an evaluator")
         lane = _RemoteLane(seller, buyer, moderator, evaluator, templates, bounds)
-    turns, _ = _rollout(lane, config, remediator)
+    turns = _rollout(lane, config, remediator)
     return lane.dialogue(turns, dialogue_id)
 
 
@@ -333,17 +329,16 @@ def rollout_to_first_violation(
     world: ScriptedWorld,
     config: SimulationConfig,
 ) -> Optional[ViolationPoint]:
-    """Run a scripted rollout until the first coin head.
+    """Read the first violation point off an unremediated scripted rollout.
 
-    Returns the prefix and the raw (unremediated) violating utterance, or
-    None when the dialogue ends without a violation.
+    Returns the turns before its first violation turn and that turn's raw
+    text, or None when the dialogue ends without a violation.
     """
-    if config.p_c <= 0.0:
-        return None
-    turns, raw = _rollout(_ScriptedLane(world), config, None, stop_at_violation=True)
-    if raw is None:
-        return None
-    return ViolationPoint(prefix=tuple(turns), violation_text=raw, seed=config.seed)
+    turns = _rollout(_ScriptedLane(world), config, None)
+    for i, turn in enumerate(turns):
+        if turn.violation:
+            return ViolationPoint(prefix=tuple(turns[:i]), violation_text=turn.text, seed=config.seed)
+    return None
 
 
 def continue_rollout(
@@ -363,7 +358,7 @@ def continue_rollout(
         raise ValueError("remediation text must be non-empty")
     replay = replace(config, seed=point.seed)
     lane = _ScriptedLane(world)
-    turns, _ = _rollout(lane, replay, None, forced_remediation=remediation)
+    turns = _rollout(lane, replay, None, forced_remediation=remediation)
     return lane.dialogue(turns, "probe-0")
 
 
@@ -398,12 +393,13 @@ def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20)
     """Play one scripted negotiation with a person speaking for ``role``.
 
     Runs from the fixed opening turns on the scripted lane, so both sides'
-    numbers move as in a rollout: the player's words replace the scripted
-    text of their turns, and the scripted counterpart never violates. A
-    seller turn marked ``violation`` charges goodwill through the lane; when
-    it carries ``original_text`` its text is the accepted rewrite, whose
-    quality the world reads back. The dialogue ends at a deal, a walk-away,
-    the turn cap, or when ``speak`` returns None; it always has an outcome.
+    numbers move as in a rollout: the player's words are their side's turns,
+    for which no scripted text is rendered, and the scripted counterpart
+    never violates. A seller turn marked ``violation`` charges goodwill
+    through the lane; when it carries ``original_text`` its text is the
+    accepted rewrite, whose quality the world reads back. The dialogue ends
+    at a deal, a walk-away, the turn cap, or when ``speak`` returns None; it
+    always has an outcome.
     """
     lane = _ScriptedLane(world)
     turns = _opening_turns(world.bounds)
@@ -412,15 +408,15 @@ def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20)
         turn = speak(tuple(turns)) if speaker is role else None
         if turn is None and speaker is role:  # the player left
             break
-        if turn is not None and turn.violation:
+        if turn is None:  # the scripted counterpart
+            text = lane.buyer(turns) if speaker is _BUYER else lane.seller(turns, False)
+            turn = Turn(speaker=speaker, text=text)
+        elif turn.violation:
             if speaker is not _SELLER:
                 raise ValueError("only seller turns can be flagged as violations")
             lane.violated(turn.text if turn.original_text is not None else None)
-        else:
-            # The scripted step moves this side's number; its text is kept
-            # only for the counterpart.
-            text = lane.buyer(turns) if speaker is _BUYER else lane.seller(turns, False)
-            turn = turn or Turn(speaker=speaker, text=text)
+        else:  # the player's words stand; the bargain moves their side's number
+            bargain_move(world, lane.state, speaker.value)
         turns.append(turn)
         speaker = _SELLER if speaker is _BUYER else _BUYER
     return lane.dialogue(turns, "interactive-0")

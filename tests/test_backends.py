@@ -21,6 +21,7 @@ from negotia.backends import (
     ContentFilterError,
     NetworkError,
     ScriptedWorld,
+    bargain_move,
     chat,
     derive_seed,
     remediation_quality,
@@ -378,11 +379,11 @@ def test_scripted_walk_away_after_unremediated_violations():
     )
     state = BargainState.initial(world)
     scripted_step(world, state, "buyer")
-    scripted_step(world, state, "seller", violation=True)
+    bargain_move(world, state, "seller", True)
     assert not state.terminal
     scripted_step(world, state, "buyer")
     # The seller step that spends the last goodwill ends the bargain itself.
-    scripted_step(world, state, "seller", violation=True)
+    bargain_move(world, state, "seller", True)
     assert state.terminal and not state.deal
     with pytest.raises(BackendError):
         scripted_step(world, state, "buyer")
@@ -396,7 +397,7 @@ def test_perfect_remediation_cancels_goodwill_loss():
     world = ScriptedWorld(bounds=PriceBounds(cost_price=3000, seller_init=5000, buyer_init=3000))
     state = BargainState.initial(world)
     scripted_step(world, state, "buyer")
-    scripted_step(world, state, "seller", violation=True, remediation=scripted_remediation_text(1.0))
+    bargain_move(world, state, "seller", True, remediation_quality(scripted_remediation_text(1.0)))
     assert state.goodwill == pytest.approx(world.goodwill)
     assert state.remediation_qualities == [1.0]
     assert state.unremediated_violations == 0

@@ -162,9 +162,8 @@ def test_scripted_rollouts_share_one_loop(world, scripted_session, seed, p_c, ma
 
 _RATE = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
-
-@settings(max_examples=300, deadline=None)
-@given(
+# Worlds, configs and rewrites drawn by both oracles over the violation point.
+_DRAWS = dict(
     concession_buyer=_RATE,
     concession_seller=_RATE,
     goodwill=st.floats(min_value=0.05, max_value=6.0),
@@ -176,6 +175,33 @@ _RATE = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=Tr
     | st.floats(min_value=0.0, max_value=1.0).map(scripted_remediation_text)
     | st.text(min_size=1),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_DRAWS)
+def test_violation_point_is_read_off_the_unremediated_dialogue(
+    bounds, scripted_session, concession_buyer, concession_seller, goodwill, close_tolerance, p_c, max_turns,
+    seed, rewrite,
+):
+    world = ScriptedWorld(
+        bounds=bounds, concession_buyer=concession_buyer, concession_seller=concession_seller,
+        goodwill=goodwill, close_tolerance=close_tolerance,
+    )
+    config = SimulationConfig(p_c=p_c, max_turns=max_turns, seed=seed)
+    point = rollout_to_first_violation(world, config)
+    d = simulate(scripted_session, scripted_session, scripted_session, config, world=world)
+    first = next((i for i, t in enumerate(d.turns) if t.violation), None)
+    if first is None:
+        assert point is None
+        return
+    assert point == ViolationPoint(prefix=d.turns[:first], violation_text=d.turns[first].text, seed=seed)
+    c = continue_rollout(world, config, point, rewrite)
+    assert c.turns[:first] == point.prefix
+    assert c.turns[first].violation and c.turns[first].original_text == point.violation_text
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_DRAWS)
 def test_replay_outcome_is_continue_rollouts_outcome(
     bounds, concession_buyer, concession_seller, goodwill, close_tolerance, p_c, max_turns, seed, rewrite
 ):

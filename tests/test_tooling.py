@@ -5,8 +5,9 @@ handler may catch every exception, every file opened as text names its
 encoding, the CLI reports every exception class the package defines and
 nothing else, no module imports a private name of another, only core
 tests whether UTF-8 can encode a text, only prompts writes a
-``speaker: text`` transcript line, and only the bargaining transition
-writes a bargain state."""
+``speaker: text`` transcript line, only the bargaining transition
+writes a bargain state, and no scripted line is rendered only to be thrown
+away."""
 
 from __future__ import annotations
 
@@ -397,3 +398,36 @@ def test_only_the_transition_writes_bargain_state():
     }
     assert ("backends.py", "bargain_move") in writers
     assert writers <= {("backends.py", "bargain_move"), ("backends.py", "BargainState.initial")}
+
+
+def _discarded_scripted_steps(source: str) -> list[int]:
+    """Line numbers of ``scripted_step(...)`` calls made as statements, whose
+    rendered line is thrown away."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "scripted_step":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_discarded_scripted_step_detector():
+    assert _discarded_scripted_steps("scripted_step(w, s, 'buyer')\nbackends.scripted_step(w, s, r)\n") == [1, 2]
+    assert _discarded_scripted_steps(
+        "text = scripted_step(w, s, 'buyer')\nf(scripted_step(w, s, r))\n"
+        "def g():\n    return scripted_step(w, s, r)\nbargain_move(w, s, 'seller', True)\n"
+    ) == []
+
+
+def test_every_rendered_scripted_line_is_kept():
+    # A caller that needs only the bargain's move calls bargain_move; a
+    # scripted_step whose text is dropped renders a line for nothing.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (lines := _discarded_scripted_steps(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
