@@ -38,7 +38,6 @@ __all__ = [
     "moderator_end",
     "rollout_to_first_violation",
     "continue_rollout",
-    "replay_outcome",
     "Speak",
     "play",
     "BUYER_OPENER",
@@ -219,42 +218,32 @@ def _rollout(
     lane: _ScriptedLane | _RemoteLane,
     config: SimulationConfig,
     remediator: Optional[Remediator],
-    *,
-    forced_remediation: Optional[str] = None,
 ) -> list[Turn]:
     """Run the negotiation loop from the opening turns over a lane.
 
     Each round the buyer speaks, then the seller. After each turn the loop
-    stops at the turn cap before it asks ``lane.done``. Every unsuppressed
-    seller turn flips one Bernoulli(p_c) coin, and heads ask ``lane.seller``
-    for a violating utterance, which the remediator may rewrite before
-    ``lane.violated`` lands it. Returns the turns. ``forced_remediation``
-    applies the given rewrite at the first head instead of consulting a
-    remediator and suppresses later heads, which enforces the single-point
-    rule for value-estimation rollouts.
+    stops at the turn cap before it asks ``lane.done``. Every seller turn
+    draws one Bernoulli(p_c) coin, and heads ask ``lane.seller`` for a
+    violating utterance, which the remediator may rewrite before
+    ``lane.violated`` lands it. Returns the turns.
     """
     turns = _opening_turns(lane.bounds)
     rng = random.Random(config.seed)
-    flip = True
     try:
         while len(turns) < config.max_turns and not lane.done(turns):
             turns.append(Turn(speaker=_BUYER, text=lane.buyer(turns)))
             if len(turns) >= config.max_turns or lane.done(turns):
                 break
-            violate = flip and rng.random() < config.p_c
+            violate = rng.random() < config.p_c
             text = lane.seller(turns, violate)
             if text is None:
                 turns.append(Turn(speaker=_SELLER, text=WITHHELD))
             elif not violate:
                 turns.append(Turn(speaker=_SELLER, text=text))
             else:
-                if forced_remediation is not None:
-                    rewrite: Optional[str] = forced_remediation
-                    flip = False  # later heads are suppressed
-                elif config.remediation_enabled and remediator is not None:
+                rewrite: Optional[str] = None
+                if config.remediation_enabled and remediator is not None:
                     rewrite = remediator(tuple(turns), text)
-                else:
-                    rewrite = None
                 lane.violated(rewrite)
                 if rewrite is None:
                     turns.append(Turn(speaker=_SELLER, text=text, violation=True))
@@ -346,44 +335,28 @@ def continue_rollout(
     config: SimulationConfig,
     point: ViolationPoint,
     remediation: str,
-) -> Dialogue:
-    """Complete a rollout from a violation point with the given remediation.
-
-    The rollout is replayed deterministically from the point's seed, the
-    rewrite replaces the violating utterance, and further violations are
-    suppressed (the single-point rule). The same seed is used for every
-    remediation candidate, so paired differences isolate the rewrite.
-    """
-    if not remediation:
-        raise ValueError("remediation text must be non-empty")
-    replay = replace(config, seed=point.seed)
-    lane = _ScriptedLane(world)
-    turns = _rollout(lane, replay, None, forced_remediation=remediation)
-    return lane.dialogue(turns, "probe-0")
-
-
-def replay_outcome(
-    world: ScriptedWorld,
-    config: SimulationConfig,
-    point: ViolationPoint,
-    remediation: str,
 ) -> NegotiationOutcome:
-    """``continue_rollout(world, config, point, remediation).outcome``, from
-    ``_rollout``'s turn cap and coin rule run over ``bargain_move`` alone,
-    with no turn or text built: value estimation keeps only the outcome.
+    """Complete a scripted rollout from a violation point with the given
+    remediation and return its outcome.
+
+    Replays ``_rollout``'s turn cap and coin rule from the point's seed over
+    ``bargain_move`` alone, with no turn or text built. The first head lands
+    the rewrite; after it no seller turn draws a coin, so later heads are
+    suppressed (the single-point rule). Every remediation candidate replays
+    the same seed, so paired differences isolate the rewrite.
     """
     if not remediation:
         raise ValueError("remediation text must be non-empty")
     state = BargainState.initial(world)
     rng = random.Random(point.seed)
-    flip = True
+    landed = False
     n = 2  # the opening turns
     while n < config.max_turns and not state.terminal:
         bargain_move(world, state, "buyer")
         if n + 1 >= config.max_turns:  # a buyer move never ends the bargain
             break
-        head = flip and rng.random() < config.p_c
-        flip = flip and not head  # the first head lands the rewrite; later ones are suppressed
+        head = not landed and rng.random() < config.p_c
+        landed = landed or head
         bargain_move(world, state, "seller", head, remediation_quality(remediation) if head else None)
         n += 2
     return scripted_outcome(world, state)
@@ -401,6 +374,7 @@ def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20)
     at a deal, a walk-away, the turn cap, or when ``speak`` returns None; it
     always has an outcome.
     """
+    SimulationConfig(max_turns=max_turns)  # the rollout's check on the cap
     lane = _ScriptedLane(world)
     turns = _opening_turns(world.bounds)
     speaker = _BUYER

@@ -21,7 +21,7 @@ from .search import ImpactFn
 from .simulation import (
     SimulationConfig,
     ViolationPoint,
-    replay_outcome,
+    continue_rollout,
     rollout_to_first_violation,
 )
 
@@ -68,7 +68,7 @@ class ValueEstimate:
 
 def make_scripted_rollout_fn(world: ScriptedWorld, config: SimulationConfig) -> RolloutFn:
     def run(point: ViolationPoint, rewrite: str) -> float:
-        return reward(replay_outcome(world, config, point, rewrite), world.bounds)
+        return reward(continue_rollout(world, config, point, rewrite), world.bounds)
 
     return run
 

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import negotia
 from negotia.core import Speaker, Turn
 from negotia.prompts import (
     TEMPLATE_IDS,
@@ -192,8 +193,11 @@ def test_render_keeps_bound_values_as_written_under_any_hash_seed():
     # A value that holds other wildcards' names must come out as written, so
     # that a prompt, and with it the cache key, is the same in every process.
     outputs = set()
+    # The children import negotia from where this process found it.
+    package_root = os.path.dirname(os.path.dirname(negotia.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     for seed in ("1", "2", "3", "4"):
-        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
         proc = subprocess.run([sys.executable, "-c", RENDER_IN_A_FRESH_PROCESS],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr

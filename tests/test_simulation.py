@@ -6,24 +6,51 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negotia.backends import BackendSession, NetworkError, ScriptedWorld, scripted_remediation_text
-from negotia.core import Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
+from negotia.backends import BackendSession, NetworkError, ScriptedWorld, bargain_move, scripted_remediation_text
+from negotia.core import Dialogue, Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
 from negotia.outcome import reward
 from negotia.simulation import (
     BUYER_OPENER,
     SimulationConfig,
     ViolationPoint,
+    _rollout,
+    _ScriptedLane,
     continue_rollout,
     moderator_end,
     play,
-    replay_outcome,
     rollout_to_first_violation,
     seller_opener,
     simulate,
 )
+
+
+class _SinglePointLane(_ScriptedLane):
+    """The scripted lane under the single-point rule: the first violation
+    lands the rewrite, and every later one moves the bargain as a plain
+    seller turn."""
+
+    landed = False
+
+    def violated(self, rewrite):
+        if self.landed:
+            bargain_move(self.world, self.state, "seller")
+        else:
+            super().violated(rewrite)
+            self.landed = True
+
+
+def single_point_dialogue(world, config, point, rewrite) -> Dialogue:
+    """The whole dialogue that ``continue_rollout`` replays only the state of,
+    built by the rollout loop: the reference it is checked against. Later
+    heads are still flagged, with the rewrite as their text, but do not
+    charge the bargain."""
+    lane = _SinglePointLane(world)
+    replay = replace(config, seed=point.seed, remediation_enabled=True)
+    turns = _rollout(lane, replay, lambda history, text: rewrite)
+    return lane.dialogue(turns, "probe-0")
 
 
 def test_config_validation():
@@ -104,17 +131,27 @@ def test_rollout_to_first_violation(world):
     assert rollout_to_first_violation(world, SimulationConfig(p_c=0.0, seed=9)) is None
 
 
-def test_continue_rollout_single_point_and_replay(world):
+def test_continue_rollout_single_point_and_replay(world, scripted_session):
     config = SimulationConfig(p_c=1.0, seed=9)
     point = rollout_to_first_violation(world, config)
-    d = continue_rollout(world, config, point, "We hear you; could we meet part way? [q=0.5]")
-    # Exactly one violation turn: the forced one; later coin heads are suppressed.
-    violating = [t for t in d.turns if t.violation]
-    assert len(violating) == 1
-    assert violating[0].original_text == point.violation_text
-    assert d.turns[: len(point.prefix)] == point.prefix
+    rewrite = "We hear you; could we meet part way? [q=0.5]"
+    d = single_point_dialogue(world, config, point, rewrite)
+    # The rewrite stands in for the point's violating utterance.
+    n = len(point.prefix)
+    assert d.turns[:n] == point.prefix
+    assert d.turns[n].violation and d.turns[n].text == rewrite
+    assert d.turns[n].original_text == point.violation_text
+    outcome = continue_rollout(world, config, point, rewrite)
+    assert outcome == d.outcome
+    # Later heads are suppressed: charging each of them ends differently.
+    every_head = simulate(
+        scripted_session, scripted_session, scripted_session, replace(config, remediation_enabled=True),
+        remediator=lambda history, text: rewrite, world=world,
+    )
+    assert sum(t.violation for t in every_head.turns) > 1
+    assert every_head.outcome != outcome
     # Replays of the same rewrite are bit-identical.
-    assert d == continue_rollout(world, config, point, "We hear you; could we meet part way? [q=0.5]")
+    assert outcome == continue_rollout(world, config, point, rewrite)
     with pytest.raises(ValueError):
         continue_rollout(world, config, point, "")
 
@@ -153,11 +190,13 @@ def test_scripted_rollouts_share_one_loop(world, scripted_session, seed, p_c, ma
     n = len(point.prefix)
     assert d.turns[:n] == point.prefix
     assert d.turns[n].violation and d.turns[n].text == point.violation_text
-    c = continue_rollout(world, config, point, "Let us find a fair price together. [q=0.7]")
+    rewrite = "Let us find a fair price together. [q=0.7]"
+    c = single_point_dialogue(world, config, point, rewrite)
     assert validate_dialogue(c) == []
     assert len(c.turns) <= max_turns
     assert c.turns[:n] == point.prefix
-    assert sum(t.violation for t in c.turns) == 1
+    assert c.turns[n].violation and c.turns[n].original_text == point.violation_text
+    assert continue_rollout(world, config, point, rewrite) == c.outcome
 
 
 _RATE = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -195,17 +234,22 @@ def test_violation_point_is_read_off_the_unremediated_dialogue(
         assert point is None
         return
     assert point == ViolationPoint(prefix=d.turns[:first], violation_text=d.turns[first].text, seed=seed)
-    c = continue_rollout(world, config, point, rewrite)
+    c = single_point_dialogue(world, config, point, rewrite)
     assert c.turns[:first] == point.prefix
     assert c.turns[first].violation and c.turns[first].original_text == point.violation_text
 
 
 @settings(max_examples=300, deadline=None)
 @given(**_DRAWS)
-def test_replay_outcome_is_continue_rollouts_outcome(
+# The default world closes its deal on the twelfth turn, the last one the cap allows.
+@example(
+    concession_buyer=0.3, concession_seller=0.3, goodwill=2.0, close_tolerance=50,
+    p_c=0.0, max_turns=12, seed=0, rewrite=scripted_remediation_text(1.0),
+)
+def test_continue_rollout_is_the_single_point_dialogues_outcome(
     bounds, concession_buyer, concession_seller, goodwill, close_tolerance, p_c, max_turns, seed, rewrite
 ):
-    # replay_outcome holds a second copy of the rollout loop's turn cap and
+    # continue_rollout holds a second copy of the rollout loop's turn cap and
     # coin rule; this pins it to the loop that builds the dialogue.
     world = ScriptedWorld(
         bounds=bounds, concession_buyer=concession_buyer, concession_seller=concession_seller,
@@ -216,8 +260,8 @@ def test_replay_outcome_is_continue_rollouts_outcome(
     point = rollout_to_first_violation(world, config) or ViolationPoint(prefix=(), violation_text="", seed=seed)
     # Both read the point's seed, not the config's.
     other = replace(config, seed=seed + 1)
-    expected = continue_rollout(world, other, point, rewrite).outcome
-    replayed = replay_outcome(world, other, point, rewrite)
+    expected = single_point_dialogue(world, other, point, rewrite).outcome
+    replayed = continue_rollout(world, other, point, rewrite)
     assert replayed == expected
     assert reward(replayed, bounds).hex() == reward(expected, bounds).hex()
 
@@ -227,8 +271,6 @@ def test_replay_and_continue_rollout_refuse_an_empty_rewrite(world):
     point = rollout_to_first_violation(world, config)
     with pytest.raises(ValueError, match="non-empty"):
         continue_rollout(world, config, point, "")
-    with pytest.raises(ValueError, match="non-empty"):
-        replay_outcome(world, config, point, "")
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +511,13 @@ def test_play_rejects_flagged_buyer_turns(world):
 
     with pytest.raises(ValueError, match="only seller turns"):
         play(world, Speaker.BUYER, speak)
+
+
+@pytest.mark.parametrize("max_turns", [1, 0, -3])
+def test_play_refuses_a_cap_below_the_opening_turns(world, max_turns):
+    # The two opening turns are always played, so a smaller cap could not hold.
+    def speak(turns):
+        raise AssertionError("the player is never asked")
+
+    with pytest.raises(ValueError, match="room for the two opening turns"):
+        play(world, Speaker.SELLER, speak, max_turns)

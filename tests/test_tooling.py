@@ -44,6 +44,35 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     assert simulation.continue_rollout is continue_rollout
 
 
+def test_benchmark_tracer_counts_the_rollouts_that_run(monkeypatch, tmp_path):
+    # The tracer counts rollouts by wrapping simulation.continue_rollout; the
+    # scripted rollout function must call it under that name, or every
+    # rollout count reads 0 although the rollouts still run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from negotia import cli
+
+    corpus, pool, ranked = (str(tmp_path / name) for name in ("corpus.jsonl", "pool.jsonl", "ranked.json"))
+    assert cli.run(["simulate", "--n", "40", "--seed", "1", "--out", corpus]) == 0
+    assert cli.run(["annotate", "--in", corpus, "--out", pool]) == 0
+    sample, probe = 3, 4
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        code = cli.run([
+            "filter", "--pool", pool, "--sample", str(sample), "--probe-size", str(probe), "--out", ranked,
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    m = tracer.layer_metrics()
+    # One rollout per probe point for its silver rewrite, then one per point
+    # for each sampled exemplar.
+    assert m["simulation.continue_rollout.calls"] == m["outcome.reward.calls"] == probe * (sample + 1)
+    assert m["valueimpact.rollouts_per_impact_eval"] == probe
+
+
 def test_benchmark_library_calls(monkeypatch, tmp_path):
     # The benchmark calls these library functions directly, with these
     # signatures; a change that breaks them would fail every workload.
