@@ -295,6 +295,9 @@ def _cmd_search(args: argparse.Namespace) -> Written:
     ):
         raise CorpusError(f"{args.ranked}: expected a JSON array of objects with 'id' and 'value_impact'")
     ranked = [(o["id"], o["value_impact"]) for o in ranked_objs]
+    # The file's order is the rank; an impact must still be a number, as filter writes it.
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for _, v in ranked):
+        raise CorpusError(f"{args.ranked}: every 'value_impact' must be a finite number")
     _from_pool(pool, [eid for eid, _ in ranked], "ranked ids")
     if args.k >= len(ranked):
         raise UsageError(f"--k {args.k} leaves no candidates among the {len(ranked)} ids in {args.ranked}")

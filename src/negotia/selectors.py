@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Exemplar, ExemplarSet
 from .prompts import exemplar_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HashedNgramEmbedder",
@@ -27,6 +29,8 @@ class HashedNgramEmbedder:
     ngram: int = 3
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np  # here, not at module level: only retrieval pays for numpy
+
         codes = np.frombuffer(text.lower().encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         m = max(len(codes) - self.ngram + 1, 0)
         # Stable (h * 131 + c) mod 2**31 hash of each n-gram (hash() is salted per
@@ -63,15 +67,16 @@ def select_retrieval(
     """
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} too small for K={k}")
+    # embed returns finite unit or zero vectors, so only an all-zero one has norm 0.
     qv = embedder.embed(query)
-    q_zero = float(np.linalg.norm(qv)) == 0.0
+    q_zero = not qv.any()
     scored: list[tuple[float, str]] = []
     for e in pool:
         ev = embedder.embed(exemplar_text(e))
-        if q_zero or float(np.linalg.norm(ev)) == 0.0:
+        if q_zero or not ev.any():
             sim = float("-inf")
         else:
-            sim = float(np.dot(qv, ev))
+            sim = float(qv.dot(ev))
         scored.append((sim, e.id))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return ExemplarSet(members=tuple(eid for _sim, eid in scored[:k]))

@@ -269,12 +269,18 @@ def test_malformed_json_input_is_refused(tmp_path, capsys, name, content):
     assert captured.err.startswith("error: ")
 
 
+def ranked_with(impact):
+    return [{"id": "ex-0.9", "value_impact": 0.5}, {"id": "ex-0.8", "value_impact": impact},
+            {"id": "ex-0.7", "value_impact": 0}]
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
         ("ranked", {"a": 1}),
         ("ranked", ["ex-0.9", "ex-0.8", "ex-0.7"]),
         ("ranked", [{"id": "ex-0.9"}, {"id": "ex-0.8"}, {"id": "ex-0.7"}]),
+        *[("ranked", ranked_with(v)) for v in ("high", None, True, float("nan"), float("-inf"), 10**400)],
         ("config", {"world": [1]}),
         ("config", {"world": {"bounds": 5}}),
         ("config", {"seed": None}),
@@ -287,7 +293,8 @@ def test_malformed_json_input_is_refused(tmp_path, capsys, name, content):
         ("config", {"world": {"goodwill": [1]}}),
         ("config", {"world": {"bounds": {"seller_init": None}}}),
     ],
-    ids=["ranked-object", "ranked-ids", "ranked-no-impact", "world-list", "bounds-number",
+    ids=["ranked-object", "ranked-ids", "ranked-no-impact", "impact-string", "impact-null", "impact-bool",
+         "impact-nan", "impact-minus-inf", "impact-past-float-range", "world-list", "bounds-number",
          "seed-null", "k-true", "m-array", "probe-size-object", "cache-dir-null",
          "max-turns-array", "goodwill-null", "goodwill-array", "seller-init-null"],
 )

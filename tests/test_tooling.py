@@ -6,19 +6,24 @@ encoding, the CLI reports every exception class the package defines and
 nothing else, no module imports a private name of another, only core
 tests whether UTF-8 can encode a text, only prompts writes a
 ``speaker: text`` transcript line, only the bargaining transition
-writes a bargain state, and no scripted line is rendered only to be thrown
-away."""
+writes a bargain state, no scripted line is rendered only to be thrown
+away, and only retrieval loads numpy."""
 
 from __future__ import annotations
 
 import argparse
 import ast
 import importlib
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
+
+import negotia
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -460,3 +465,37 @@ def test_every_rendered_scripted_line_is_kept():
         if (lines := _discarded_scripted_steps(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+PIPELINE_IN_A_FRESH_PROCESS = """
+import json, os, sys
+import negotia
+from negotia.cli import run
+assert "numpy" not in sys.modules, "import"
+os.chdir(sys.argv[1])
+for argv in (
+    ["simulate", "--backend", "scripted", "--seed", "7", "--n", "4", "--out", "corpus.jsonl"],
+    ["annotate", "--in", "corpus.jsonl", "--out", "pool.jsonl"],
+    ["filter", "--pool", "pool.jsonl", "--sample", "3", "--probe-size", "2", "--out", "ranked.json"],
+    ["search", "--ranked", "ranked.json", "--pool", "pool.jsonl", "--k", "2", "--probe-size", "2",
+     "--out", "best.json"],
+    ["evaluate", "--in", "corpus.jsonl", "--report", "report.json"],
+):
+    assert run(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+with open("query.json", "w", encoding="utf-8") as f:
+    json.dump({"text": "a fair price"}, f)
+assert run(["select", "--strategy", "retrieval", "--pool", "pool.jsonl", "--k", "2",
+            "--query", "query.json", "--out", "set.json"]) == 0
+assert "numpy" in sys.modules, "select"
+"""
+
+
+def test_only_retrieval_loads_numpy(tmp_path):
+    # Every command but retrieval starts and runs without paying for numpy.
+    # The child imports negotia from where this process found it.
+    package_root = os.path.dirname(os.path.dirname(negotia.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_IN_A_FRESH_PROCESS, str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
