@@ -19,19 +19,39 @@ __all__ = [
 ]
 
 
+# Pool exemplars embedded per embed_many call: enough to spread numpy's
+# per-call cost over many texts, few enough that no pool-sized matrix is held.
+_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class HashedNgramEmbedder:
     """Deterministic offline embedder: character n-grams hashed into a fixed
-    number of buckets, L2-normalized. Remote semantic embedders plug in
-    behind the same embed() interface."""
+    number of buckets, L2-normalized. A remote semantic embedder plugs in
+    behind embed_many(), which retrieval calls once per block of pool texts,
+    so such an embedder can serve each block with one request."""
 
     dim: int = 256
     ngram: int = 3
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.dim <= 2**31:
+            raise ValueError(f"dim must be in [1, 2**31], got {self.dim}")
+        if self.ngram < 1:
+            raise ValueError(f"ngram must be >= 1, got {self.ngram}")
+
     def embed(self, text: str) -> np.ndarray:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """One row per text, each equal to what embed(text) returns."""
         import numpy as np  # here, not at module level: only retrieval pays for numpy
 
-        codes = np.frombuffer(text.lower().encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        # Lowered one by one: str.lower is context-sensitive (a final sigma
+        # lowers to ς only at the end of a word), so lowering the joined text
+        # would change the vectors.
+        lowered = [t.lower() for t in texts]
+        codes = np.frombuffer("".join(lowered).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         m = max(len(codes) - self.ngram + 1, 0)
         # Stable (h * 131 + c) mod 2**31 hash of each n-gram (hash() is salted per
         # process); uint32 wraps mod 2**32, a multiple of 2**31, so one final mask is exact.
@@ -39,11 +59,21 @@ class HashedNgramEmbedder:
         for j in range(1, self.ngram):
             h *= np.uint32(131)
             h += codes[j : j + m]
-        vec = np.bincount((h & np.uint32(2**31 - 1)) % self.dim, minlength=self.dim).astype(np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm > 0:
-            vec /= norm
-        return vec
+        h &= np.uint32(2**31 - 1)
+        h %= np.uint32(self.dim)
+        out = np.zeros((len(lowered), self.dim), dtype=np.float64)
+        end = 0
+        for i, t in enumerate(lowered):
+            start, end = end, end + len(t)
+            # Only the n-grams that start and end inside this text.
+            if end - self.ngram + 1 > start:
+                out[i] = np.bincount(h[start : end - self.ngram + 1], minlength=self.dim)
+        # Counts are small integers, so the sums of squares are exact and each
+        # row equals vec / np.linalg.norm(vec) bit for bit; zero rows stay zero.
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+        norms[norms == 0] = 1.0
+        out /= norms[:, None]
+        return out
 
 
 def select_random(pool: list[Exemplar], k: int, seed: int) -> ExemplarSet:
@@ -71,12 +101,13 @@ def select_retrieval(
     qv = embedder.embed(query)
     q_zero = not qv.any()
     scored: list[tuple[float, str]] = []
-    for e in pool:
-        ev = embedder.embed(exemplar_text(e))
-        if q_zero or not ev.any():
-            sim = float("-inf")
-        else:
-            sim = float(qv.dot(ev))
-        scored.append((sim, e.id))
+    # Scored row by row with qv.dot, not as one matrix product, which sums in
+    # another order and could reorder near-ties.
+    for b in range(0, len(pool), _BLOCK):
+        block = pool[b : b + _BLOCK]
+        vecs = embedder.embed_many([exemplar_text(e) for e in block])
+        for e, ev, nonzero in zip(block, vecs, vecs.any(axis=1).tolist()):
+            sim = float(qv.dot(ev)) if nonzero and not q_zero else float("-inf")
+            scored.append((sim, e.id))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return ExemplarSet(members=tuple(eid for _sim, eid in scored[:k]))

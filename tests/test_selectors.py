@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from negotia.core import Exemplar
 from negotia.prompts import exemplar_text
 from negotia.selectors import (
     HashedNgramEmbedder,
@@ -72,6 +76,35 @@ def test_embed_equals_per_character_loop(text, ngram, dim):
     assert np.array_equal(new, loop_embed(text, dim, ngram))
 
 
+# Texts shorter than the largest ngram drawn, empty ones among them, mixed
+# with any_text; "ΟΔΟΣ" lowers to "οδος" alone but to "οδοσ…" before a letter.
+some_texts = st.lists(
+    st.one_of(any_text, st.text(max_size=4), st.just(""), st.just("ΟΔΟΣ")),
+    max_size=150,
+)
+
+
+@given(some_texts, st.integers(1, 5), st.sampled_from([1, 7, 256, 1000]))
+@example([], 3, 256)
+@example(["", "ab", "", "abc", "a"], 3, 256)
+@example(["x\ud83e", "\udd1dy"], 2, 1000)
+@example(["ΟΔΟΣ", "x", "ΟΔΟΣ"], 1, 1000)
+@example([f"text {i} of a long list" if i % 3 else "ab" for i in range(150)], 3, 256)
+def test_embed_many_rows_equal_embed(texts, ngram, dim):
+    emb = HashedNgramEmbedder(dim=dim, ngram=ngram)
+    many = emb.embed_many(texts)
+    assert many.dtype == np.float64 and many.shape == (len(texts), dim)
+    for row, text in zip(many, texts):
+        assert np.array_equal(row, emb.embed(text))
+        assert np.array_equal(row, loop_embed(text, dim, ngram))
+
+
+@pytest.mark.parametrize("dim, ngram", [(256, 0), (256, -2), (0, 3), (-3, 3), (2**31 + 1, 3)])
+def test_embedder_refuses_nonsense_shapes(dim, ngram):
+    with pytest.raises(ValueError):
+        HashedNgramEmbedder(dim=dim, ngram=ngram)
+
+
 def test_embed_bucket_ids_are_pinned():
     # Pinned digest of one embedding: a change to the hash or the bucketing
     # would silently change every retrieval ranking.
@@ -131,3 +164,48 @@ def test_select_retrieval_tie_break_by_id():
 def test_select_retrieval_pool_too_small(quality_pool):
     with pytest.raises(ValueError):
         select_retrieval(quality_pool, "q", 99, HashedNgramEmbedder())
+
+
+def loop_ranking(pool: list[Exemplar], query: str, k: int, embedder: HashedNgramEmbedder) -> tuple[str, ...]:
+    """Reference: acceptance criterion 7's loop, one embed per exemplar."""
+    qv = embedder.embed(query)
+    scored = []
+    for e in pool:
+        ev = embedder.embed(exemplar_text(e))
+        if np.linalg.norm(qv) == 0.0 or np.linalg.norm(ev) == 0.0:
+            sim = float("-inf")
+        else:
+            sim = float(np.dot(qv, ev))
+        scored.append((sim, e.id))
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return tuple(eid for _s, eid in scored[:k])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 200])
+def test_select_retrieval_across_blocks_equals_per_exemplar_loop(n):
+    rng = random.Random(n)
+    # With ngram 12, "seller: " plus a violation text under 4 characters and
+    # no history embeds to the zero vector.
+    embedder = HashedNgramEmbedder(dim=64, ngram=12)
+
+    def words() -> str:
+        return " ".join("".join(rng.choices(string.ascii_lowercase[:6], k=rng.randint(2, 6)))
+                        for _ in range(rng.randint(1, 5)))
+
+    ids = [f"p{i:03d}" for i in range(n)]
+    rng.shuffle(ids)  # pool order is not id order, so ties must break by id
+    pool = []
+    for eid in ids:
+        kind = rng.random()
+        if kind < 0.15:
+            e = Exemplar(id=eid, history=(), violation_text=rng.choice(["", "ab", "xyz"]), remediation_text="r")
+        elif kind < 0.35 and pool:
+            e = replace(rng.choice(pool), id=eid)  # a duplicate text
+        else:
+            e = replace(make_exemplar(eid), violation_text=words())
+        pool.append(e)
+    assert any(not embedder.embed(exemplar_text(e)).any() for e in pool)
+    for query in [words(), words(), "ab"]:
+        for k in (1, 5, n):
+            got = select_retrieval(pool, query, k, embedder).members
+            assert got == loop_ranking(pool, query, k, embedder)

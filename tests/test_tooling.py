@@ -7,7 +7,7 @@ nothing else, no module imports a private name of another, only core
 tests whether UTF-8 can encode a text, only prompts writes a
 ``speaker: text`` transcript line, only the bargaining transition
 writes a bargain state, no scripted line is rendered only to be thrown
-away, and only retrieval loads numpy."""
+away, only retrieval loads numpy, and embed hashes through embed_many."""
 
 from __future__ import annotations
 
@@ -499,3 +499,22 @@ def test_only_retrieval_loads_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", PIPELINE_IN_A_FRESH_PROCESS, str(tmp_path)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_embed_is_one_row_of_embed_many(monkeypatch):
+    # One n-gram hash: a second copy in embed could drift from the one
+    # retrieval runs over the pool.
+    from negotia.selectors import HashedNgramEmbedder
+
+    calls = []
+    embed_many = HashedNgramEmbedder.embed_many
+
+    def spy(self, texts):
+        calls.append(list(texts))
+        return embed_many(self, texts)
+
+    monkeypatch.setattr(HashedNgramEmbedder, "embed_many", spy)
+    emb = HashedNgramEmbedder()
+    vec = emb.embed("a fair price")
+    assert calls == [["a fair price"]]
+    assert vec.tolist() == embed_many(emb, ["a fair price"])[0].tolist()
