@@ -317,6 +317,8 @@ def _cmd_search(args: argparse.Namespace) -> Written:
 
 
 def _cmd_select(args: argparse.Namespace) -> Written:
+    if args.query is not None and args.strategy != "retrieval":
+        raise UsageError("select takes --query only with --strategy retrieval")
     pool = load_exemplars(args.pool)
     if args.k > len(pool):
         raise UsageError(f"--k {args.k} exceeds the {len(pool)} exemplars in {args.pool}")

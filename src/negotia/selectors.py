@@ -19,8 +19,9 @@ __all__ = [
 ]
 
 
-# Pool exemplars embedded per embed_many call: enough to spread numpy's
-# per-call cost over many texts, few enough that no pool-sized matrix is held.
+# Pool exemplars rendered per embed_many call, which gets those of their texts
+# not yet scored: enough to spread numpy's per-call cost over many texts, few
+# enough that no pool-sized matrix is held.
 _BLOCK = 64
 
 
@@ -28,17 +29,20 @@ _BLOCK = 64
 class HashedNgramEmbedder:
     """Deterministic offline embedder: character n-grams hashed into a fixed
     number of buckets, L2-normalized. A remote semantic embedder plugs in
-    behind embed_many(), which retrieval calls once per block of pool texts,
-    so such an embedder can serve each block with one request."""
+    behind embed_many(), which retrieval calls at most once per block of pool
+    exemplars, with that block's texts not yet scored, so such an embedder can
+    serve each block with one request."""
 
     dim: int = 256
     ngram: int = 3
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= 2**31:
-            raise ValueError(f"dim must be in [1, 2**31], got {self.dim}")
-        if self.ngram < 1:
-            raise ValueError(f"ngram must be >= 1, got {self.ngram}")
+        # type(x) is int: a float or a bool would construct, then fail or
+        # silently embed unigrams (ngram=True) on the first embed.
+        if type(self.dim) is not int or not 1 <= self.dim <= 2**31:
+            raise ValueError(f"dim must be an int in [1, 2**31], got {self.dim!r}")
+        if type(self.ngram) is not int or self.ngram < 1:
+            raise ValueError(f"ngram must be an int >= 1, got {self.ngram!r}")
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -100,14 +104,20 @@ def select_retrieval(
     # embed returns finite unit or zero vectors, so only an all-zero one has norm 0.
     qv = embedder.embed(query)
     q_zero = not qv.any()
+    # Pools repeat texts (scripted prefixes do), and equal texts embed to equal
+    # rows, so each distinct text is embedded and scored once per call.
+    score: dict[str, float] = {}
     scored: list[tuple[float, str]] = []
     # Scored row by row with qv.dot, not as one matrix product, which sums in
     # another order and could reorder near-ties.
     for b in range(0, len(pool), _BLOCK):
         block = pool[b : b + _BLOCK]
-        vecs = embedder.embed_many([exemplar_text(e) for e in block])
-        for e, ev, nonzero in zip(block, vecs, vecs.any(axis=1).tolist()):
-            sim = float(qv.dot(ev)) if nonzero and not q_zero else float("-inf")
-            scored.append((sim, e.id))
+        texts = [exemplar_text(e) for e in block]
+        new = [t for t in dict.fromkeys(texts) if t not in score]
+        if new:
+            vecs = embedder.embed_many(new)
+            for t, ev, nonzero in zip(new, vecs, vecs.any(axis=1).tolist()):
+                score[t] = float(qv.dot(ev)) if nonzero and not q_zero else float("-inf")
+        scored.extend((score[t], e.id) for t, e in zip(texts, block))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return ExemplarSet(members=tuple(eid for _sim, eid in scored[:k]))

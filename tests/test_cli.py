@@ -189,6 +189,16 @@ def test_select_retrieval_requires_query(tmp_path):
                 "--k", "1", "--out", str(out)]) == 1
 
 
+def test_select_random_refuses_query(tmp_path, capsys):
+    # --query is read only by retrieval, so random refuses it before opening any file.
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8))
+    out = tmp_path / "set.json"
+    assert run(["select", "--strategy", "random", "--pool", str(pool_path), "--k", "1",
+                "--query", str(tmp_path / "nonexist.json"), "--out", str(out)]) == 1
+    assert "select takes --query only with --strategy retrieval" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_remediate_command_prints_rewrite(tmp_path, capsys):
     pool_path = make_pool_file(tmp_path, (0.9,))
     set_path = tmp_path / "set.json"

@@ -99,7 +99,11 @@ def test_embed_many_rows_equal_embed(texts, ngram, dim):
         assert np.array_equal(row, loop_embed(text, dim, ngram))
 
 
-@pytest.mark.parametrize("dim, ngram", [(256, 0), (256, -2), (0, 3), (-3, 3), (2**31 + 1, 3)])
+@pytest.mark.parametrize("dim, ngram", [
+    (256, 0), (256, -2), (0, 3), (-3, 3), (2**31 + 1, 3),
+    # Not ints: floats and bools are refused at construction, not on the first embed.
+    (64.0, 3), (256, 2.0), (256, True), (True, 3),
+])
 def test_embedder_refuses_nonsense_shapes(dim, ngram):
     with pytest.raises(ValueError):
         HashedNgramEmbedder(dim=dim, ngram=ngram)
@@ -209,3 +213,67 @@ def test_select_retrieval_across_blocks_equals_per_exemplar_loop(n):
         for k in (1, 5, n):
             got = select_retrieval(pool, query, k, embedder).members
             assert got == loop_ranking(pool, query, k, embedder)
+
+
+def spy_embed_many(monkeypatch) -> list[list[str]]:
+    """Record the texts of every embed_many call, embed's one-text calls included."""
+    calls: list[list[str]] = []
+    real = HashedNgramEmbedder.embed_many
+
+    def spy(self, texts):
+        calls.append(list(texts))
+        return real(self, texts)
+
+    monkeypatch.setattr(HashedNgramEmbedder, "embed_many", spy)
+    return calls
+
+
+def pool_calls(calls: list[list[str]], query: str) -> list[list[str]]:
+    """The calls that embedded pool texts: all but embed's one call for the query."""
+    pooled = list(calls)
+    pooled.remove([query])
+    return pooled
+
+
+def repeating_pool(n: int, distinct: int, seed: int) -> list[Exemplar]:
+    """n exemplars over `distinct` texts, as scripted prefixes repeat, with ids
+    shuffled and a copy on each side of every block edge."""
+    rng = random.Random(seed)
+    texts = [replace(make_exemplar(f"t{j}"), violation_text=f"We will not budge on offer {j}, take it.")
+             for j in range(distinct)]
+    ids = [f"p{i:04d}" for i in range(n)]
+    rng.shuffle(ids)
+    picks = [rng.randrange(distinct) for _ in range(n)]
+    for edge in range(64, n, 64):
+        picks[edge] = picks[edge - 1]
+    return [replace(texts[j], id=eid) for eid, j in zip(ids, picks)]
+
+
+def test_select_retrieval_embeds_each_distinct_pool_text_once(monkeypatch):
+    pool = repeating_pool(1000, 17, seed=3)
+    query = "buyer: Could you reconsider the price?\nseller: Take it or leave it."
+    calls = spy_embed_many(monkeypatch)
+    select_retrieval(pool, query, 8, HashedNgramEmbedder())
+    pooled = pool_calls(calls, query)
+    distinct = list(dict.fromkeys(exemplar_text(e) for e in pool))
+    assert len(distinct) == 17
+    assert [t for call in pooled for t in call] == distinct
+    assert all(1 <= len(call) <= 64 for call in pooled)
+
+
+def test_select_retrieval_sends_an_all_distinct_pool_once(monkeypatch):
+    pool = [replace(make_exemplar(f"d{i:03d}"), violation_text=f"offer {i} is final") for i in range(200)]
+    calls = spy_embed_many(monkeypatch)
+    select_retrieval(pool, "seller: offer 7 is final", 5, HashedNgramEmbedder())
+    pooled = pool_calls(calls, "seller: offer 7 is final")
+    assert [t for call in pooled for t in call] == [exemplar_text(e) for e in pool]
+    assert [len(call) for call in pooled] == [64, 64, 64, 8]
+
+
+@pytest.mark.parametrize("k", [1, 8, 1000])
+def test_select_retrieval_on_a_repeating_pool_equals_per_exemplar_loop(k):
+    pool = repeating_pool(1000, 17, seed=k)
+    embedder = HashedNgramEmbedder()
+    for query in ["buyer: Could you reconsider the price for t3?\nseller: We will not budge on offer 3",
+                  "ab"]:
+        assert select_retrieval(pool, query, k, embedder).members == loop_ranking(pool, query, k, embedder)
