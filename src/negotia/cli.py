@@ -323,7 +323,7 @@ def _cmd_select(args: argparse.Namespace) -> Written:
     if args.k > len(pool):
         raise UsageError(f"--k {args.k} exceeds the {len(pool)} exemplars in {args.pool}")
     if args.strategy == "random":
-        chosen = select_random(pool, args.k, args.seed)
+        chosen = select_random(pool, args.k, 0 if args.seed is None else args.seed)
     else:  # retrieval; argparse admits no other strategy
         if not args.query:
             raise UsageError("retrieval strategy requires --query")
@@ -511,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--k", type=_count, default=8)
     p.add_argument("--query")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # random only; without one it draws from seed 0
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("remediate")
@@ -551,6 +551,9 @@ def run(argv: list[str]) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
+        # The user's own flags, before a config's shared seed joins them.
+        if args.command == "select" and args.strategy == "retrieval" and args.seed is not None:
+            raise UsageError("select takes --seed only with --strategy random")
         cfg = _load_config_file(args.config)
         args = parser.parse_args(_with_config(parser, argv, args.config, cfg))
         started = time.time()

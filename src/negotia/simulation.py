@@ -335,6 +335,7 @@ def continue_rollout(
     config: SimulationConfig,
     point: ViolationPoint,
     remediation: str,
+    heads: Optional[dict[int, tuple[BargainState, int]]] = None,
 ) -> NegotiationOutcome:
     """Complete a scripted rollout from a violation point with the given
     remediation and return its outcome.
@@ -344,22 +345,50 @@ def continue_rollout(
     the rewrite; after it no seller turn draws a coin, so later heads are
     suppressed (the single-point rule). Every remediation candidate replays
     the same seed, so paired differences isolate the rewrite.
+
+    Everything before the first head is the same for every candidate, so
+    ``heads`` keeps it per seed: the state just before the first head's
+    seller move and its turn count, or the final state when no head comes.
+    A dict serves one world and one config. The stored state is never
+    changed; each rewrite lands on a copy.
     """
     if not remediation:
         raise ValueError("remediation text must be non-empty")
-    state = BargainState.initial(world)
-    rng = random.Random(point.seed)
-    landed = False
-    n = 2  # the opening turns
+    if heads is None:
+        heads = {}
+    if point.seed not in heads:
+        heads[point.seed] = _rounds(world, config, BargainState.initial(world), 2, random.Random(point.seed))
+    state, n = heads[point.seed]
+    if n < config.max_turns and not state.terminal:  # stopped at the first head
+        # The rewrite lands on a copy. An open bargain with no violation yet
+        # holds nothing but these numbers.
+        state = BargainState(bid=state.bid, ask=state.ask, goodwill=state.goodwill, pending_ask=state.pending_ask)
+        bargain_move(world, state, "seller", True, remediation_quality(remediation))
+        state, n = _rounds(world, config, state, n + 1)
+    return scripted_outcome(world, state)
+
+
+def _rounds(
+    world: ScriptedWorld,
+    config: SimulationConfig,
+    state: BargainState,
+    n: int,
+    rng: Optional[random.Random] = None,
+) -> tuple[BargainState, int]:
+    """Move the bargain on from turn ``n`` under the turn cap and return it
+    with its turn count. With ``rng`` every seller move draws the coin, and
+    the first head stops the rounds just before its seller move; without
+    one, seller moves draw nothing and never violate."""
     while n < config.max_turns and not state.terminal:
         bargain_move(world, state, "buyer")
-        if n + 1 >= config.max_turns:  # a buyer move never ends the bargain
+        n += 1
+        if n >= config.max_turns:  # a buyer move never ends the bargain
             break
-        head = not landed and rng.random() < config.p_c
-        landed = landed or head
-        bargain_move(world, state, "seller", head, remediation_quality(remediation) if head else None)
-        n += 2
-    return scripted_outcome(world, state)
+        if rng is not None and rng.random() < config.p_c:
+            break
+        bargain_move(world, state, "seller")
+        n += 1
+    return state, n
 
 
 def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20) -> Dialogue:

@@ -67,8 +67,12 @@ class ValueEstimate:
 
 
 def make_scripted_rollout_fn(world: ScriptedWorld, config: SimulationConfig) -> RolloutFn:
+    # Each probe seed's replay up to its first head runs once, for the first
+    # rewrite scored there; every later one starts from that head.
+    heads: dict = {}
+
     def run(point: ViolationPoint, rewrite: str) -> float:
-        return reward(continue_rollout(world, config, point, rewrite), world.bounds)
+        return reward(continue_rollout(world, config, point, rewrite, heads), world.bounds)
 
     return run
 

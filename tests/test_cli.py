@@ -199,6 +199,45 @@ def test_select_random_refuses_query(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_select_retrieval_refuses_a_typed_seed(tmp_path, capsys):
+    # Retrieval draws nothing, so a --seed on the command line is refused
+    # before any file is opened; a config's shared seed still reaches it.
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8))
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"text": "could you reconsider the price"}), encoding="utf-8")
+    out = tmp_path / "set.json"
+    argv = ["select", "--strategy", "retrieval", "--pool", str(pool_path), "--k", "1",
+            "--query", str(query), "--out", str(out)]
+    assert run([*argv, "--seed", "0"]) == 1
+    assert "select takes --seed only with --strategy random" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+    assert run(["--config", str(cfg), *argv]) == 0
+    assert len(json.loads(out.read_text())["members"]) == 1
+
+
+def test_select_random_writes_the_same_bytes_with_or_without_a_seed(tmp_path):
+    # The exact files random draws write: without a seed the draw uses seed
+    # 0, and a config's seed counts as a typed one.
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7, 0.3, 0.2, 0.1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+    out = tmp_path / "set.json"
+    for config, seed, members in [
+        ([], ["--seed", "1"], ("ex-0.8", "ex-0.2", "ex-0.9")),
+        ([], ["--seed", "0"], ("ex-0.3", "ex-0.1", "ex-0.9")),
+        ([], [], ("ex-0.3", "ex-0.1", "ex-0.9")),
+        ([], ["--seed", "12345678901234567890"], ("ex-0.2", "ex-0.1", "ex-0.3")),
+        (["--config", str(cfg)], [], ("ex-0.2", "ex-0.7", "ex-0.1")),
+    ]:
+        assert run([*config, "select", "--strategy", "random", "--pool", str(pool_path), "--k", "3",
+                    *seed, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == '{\n  "members": [\n%s\n  ]\n}' % ",\n".join(
+            f'    "{m}"' for m in members
+        )
+
+
 def test_remediate_command_prints_rewrite(tmp_path, capsys):
     pool_path = make_pool_file(tmp_path, (0.9,))
     set_path = tmp_path / "set.json"

@@ -3,13 +3,21 @@ the remote lane against a stubbed transport."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negotia.backends import BackendSession, NetworkError, ScriptedWorld, bargain_move, scripted_remediation_text
+from negotia.backends import (
+    BackendSession,
+    BargainState,
+    NetworkError,
+    ScriptedWorld,
+    bargain_move,
+    scripted_remediation_text,
+)
 from negotia.core import Dialogue, Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
 from negotia.outcome import reward
 from negotia.simulation import (
@@ -17,6 +25,7 @@ from negotia.simulation import (
     SimulationConfig,
     ViolationPoint,
     _rollout,
+    _rounds,
     _ScriptedLane,
     continue_rollout,
     moderator_end,
@@ -240,17 +249,18 @@ def test_violation_point_is_read_off_the_unremediated_dialogue(
 
 
 @settings(max_examples=300, deadline=None)
-@given(**_DRAWS)
+@given(**_DRAWS, second=_DRAWS["rewrite"])
 # The default world closes its deal on the twelfth turn, the last one the cap allows.
 @example(
     concession_buyer=0.3, concession_seller=0.3, goodwill=2.0, close_tolerance=50,
-    p_c=0.0, max_turns=12, seed=0, rewrite=scripted_remediation_text(1.0),
+    p_c=0.0, max_turns=12, seed=0, rewrite=scripted_remediation_text(1.0), second=scripted_remediation_text(0.0),
 )
 def test_continue_rollout_is_the_single_point_dialogues_outcome(
-    bounds, concession_buyer, concession_seller, goodwill, close_tolerance, p_c, max_turns, seed, rewrite
+    bounds, concession_buyer, concession_seller, goodwill, close_tolerance, p_c, max_turns, seed, rewrite, second
 ):
     # continue_rollout holds a second copy of the rollout loop's turn cap and
-    # coin rule; this pins it to the loop that builds the dialogue.
+    # coin rule; this pins it to the loop that builds the dialogue, with and
+    # without a head shared between rewrites.
     world = ScriptedWorld(
         bounds=bounds, concession_buyer=concession_buyer, concession_seller=concession_seller,
         goodwill=goodwill, close_tolerance=close_tolerance,
@@ -260,10 +270,21 @@ def test_continue_rollout_is_the_single_point_dialogues_outcome(
     point = rollout_to_first_violation(world, config) or ViolationPoint(prefix=(), violation_text="", seed=seed)
     # Both read the point's seed, not the config's.
     other = replace(config, seed=seed + 1)
-    expected = single_point_dialogue(world, other, point, rewrite).outcome
-    replayed = continue_rollout(world, other, point, rewrite)
-    assert replayed == expected
-    assert reward(replayed, bounds).hex() == reward(expected, bounds).hex()
+    expected = {r: single_point_dialogue(world, other, point, r).outcome for r in (rewrite, second)}
+    for r, outcome in expected.items():
+        replayed = continue_rollout(world, other, point, r)
+        assert replayed == outcome
+        assert reward(replayed, bounds).hex() == reward(outcome, bounds).hex()
+    # Rewrites scored through one heads dict, in either order, read the same;
+    # landing one leaves the stored head as the replay to it left it.
+    head = _rounds(world, other, BargainState.initial(world), 2, random.Random(point.seed))
+    for order in ((rewrite, second), (second, rewrite)):
+        heads: dict = {}
+        for r in order:
+            shared = continue_rollout(world, other, point, r, heads)
+            assert shared == expected[r]
+            assert reward(shared, bounds).hex() == reward(expected[r], bounds).hex()
+            assert heads == {point.seed: head}
 
 
 def test_replay_and_continue_rollout_refuse_an_empty_rewrite(world):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
+from conftest import make_exemplar
 
+from negotia import cli, simulation
 from negotia.backends import remediation_quality, scripted_remediation_text
+from negotia.core import dump_exemplars
 from negotia.remediate import SILVER_SCRIPTED_QUALITY, RemediationPolicy
 from negotia.simulation import SimulationConfig
 from negotia.valueimpact import (
@@ -133,3 +139,26 @@ def test_rank_individuals_sampling_is_seeded(quality_pool, impact_fn):
         rank_individuals(quality_pool, 99, impact_fn)
     with pytest.raises(ValueError):
         rank_individuals([], 1, impact_fn)
+
+
+def test_filter_replays_each_probe_seed_to_its_first_head_once(tmp_path, monkeypatch):
+    # Every rewrite scored at a probe point replays the point's seed, so the
+    # replay up to its first head, with the generator it draws from, is
+    # built once per point, not once per rollout.
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            built.append((sys._getframe(1).f_code.co_name, seed))
+            super().__init__(seed)
+
+    monkeypatch.setattr(simulation, "random", SimpleNamespace(Random=CountingRandom))
+    sample, probe = 5, 3
+    pool = tmp_path / "pool.jsonl"
+    dump_exemplars([make_exemplar(f"ex-{i}", i / sample) for i in range(sample)], pool)
+    assert cli.run([
+        "filter", "--pool", str(pool), "--sample", str(sample), "--probe-size", str(probe),
+        "--out", str(tmp_path / "ranked.json"),
+    ]) == 0
+    seeds = [seed for caller, seed in built if caller == "continue_rollout"]
+    assert len(seeds) == len(set(seeds)) == probe
