@@ -396,14 +396,15 @@ def _outcome_fields(o: dict) -> tuple:
     return deal, price, trust, business
 
 
-def _dialogue_decoder() -> Callable[[dict], Dialogue]:
-    """Decode dialogue records under the file's rules; equal turns, bounds
+def _dialogue_decoder() -> Callable[[str], Dialogue]:
+    """Decode dialogue lines under the file's rules; equal turns, bounds
     and outcomes across the records share one object each."""
     decode_turn = _turn_decoder()
     share_bounds = _interner(PriceBounds)
     share_outcome = _interner(NegotiationOutcome)
 
-    def decode(obj: dict) -> Dialogue:
+    def decode(line: str) -> Dialogue:
+        obj = json.loads(line)
         did = _record_id(obj)
         b = obj["bounds"]
         cost, seller, buyer = b["cost_price"], b["seller_init"], b["buyer_init"]
@@ -431,6 +432,17 @@ def _dialogue_decoder() -> Callable[[dict], Dialogue]:
     return decode
 
 
+# Every line dump_exemplars writes is _HISTORY_HEAD, the history's turns as
+# _turn_encoder writes them, then _HISTORY_END: "history" sorts first among an
+# exemplar record's keys and "id", always present, second.
+_HISTORY_HEAD = '{"history": ['
+_HISTORY_END = '], "id": '
+
+# The lines a pool file's loader reads without finding a repeated history
+# before it stops looking: remote pools repeat none.
+_PROBE_LINES = 64
+
+
 def _exemplar_obj(e: Exemplar, history: list) -> dict:
     obj: dict = {
         "id": e.id,
@@ -445,12 +457,18 @@ def _exemplar_obj(e: Exemplar, history: list) -> dict:
     return obj
 
 
-def _exemplar_decoder() -> Callable[[dict], Exemplar]:
-    """Decode exemplar records under the file's rules; equal history turns
-    across the records share one ``Turn``."""
+def _exemplar_decoder() -> Callable[[str], Exemplar]:
+    """Decode exemplar lines under the file's rules; equal history turns
+    across the records share one ``Turn``, and equal histories written as
+    ``dump_exemplars`` writes them share one tuple, decoded and checked once,
+    up to ``_INTERN_LIMIT`` of them. A file whose first ``_PROBE_LINES``
+    lines repeat no history is read without looking for repeats."""
     decode_turn = _turn_decoder()
+    encode_turn = _turn_encoder()
+    histories: dict[str, tuple[Turn, ...]] = {}
+    read, hit = 0, False
 
-    def decode(obj: dict) -> Exemplar:
+    def fields(obj: dict, history: Optional[tuple[Turn, ...]] = None) -> Exemplar:
         eid = _record_id(obj)
         violation, remediation = obj["violation_text"], obj["remediation_text"]
         rationale, quality = obj.get("rationale"), obj.get("latent_quality")
@@ -466,12 +484,40 @@ def _exemplar_decoder() -> Callable[[dict], Exemplar]:
             raise CorpusError("latent_quality must be a finite number")
         return Exemplar(
             id=eid,
-            history=_decode_turns(obj["history"], decode_turn),
+            history=_decode_turns(obj["history"], decode_turn) if history is None else history,
             violation_text=violation,
             remediation_text=remediation,
             rationale=rationale,
             latent_quality=quality,
         )
+
+    def decode(line: str) -> Exemplar:
+        nonlocal read, hit
+        read += 1
+        looking = hit or read <= _PROBE_LINES
+        end = line.find(_HISTORY_END) if looking and line.startswith(_HISTORY_HEAD) else -1
+        if end < 0:
+            return fields(json.loads(line))
+        text = line[len(_HISTORY_HEAD) : end]
+        history = histories.get(text)
+        if history is not None:
+            hit = True
+            # A stored text is a whole list of turn objects, so the line's
+            # other keys parse alone as they do after it; a rest that fails
+            # to parse or holds its own "history" takes the whole-line path.
+            try:
+                rest = json.loads("{" + line[end + 3 :])  # past "], "
+            except ValueError:
+                rest = None
+            if rest is not None and "history" not in rest:
+                return fields(rest, history)
+            return fields(json.loads(line))
+        e = fields(json.loads(line))
+        # Stored only under the text dump_exemplars writes for the history,
+        # so that extra turn keys cannot plant a wrong entry.
+        if len(histories) < _INTERN_LIMIT and text == ", ".join(map(encode_turn, e.history)):
+            histories[text] = e.history
+        return e
 
     return decode
 
@@ -479,9 +525,9 @@ def _exemplar_decoder() -> Callable[[dict], Exemplar]:
 Record = TypeVar("Record", Dialogue, Exemplar)
 
 
-def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[dict], Record]]) -> list[Record]:
+def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[str], Record]]) -> list[Record]:
     """Decode every non-blank line of a JSON-lines file with one ``decoder()``
-    for the file; ids must be unique."""
+    for the file; ids must be unique. Only JSON's own whitespace is blank."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"no such file: {path}")
@@ -491,11 +537,11 @@ def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[dict], Record]
     try:
         with path.open(encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
-                line = line.strip()
+                line = line.strip(" \t\r\n")
                 if not line:
                     continue
                 try:
-                    record = decode(json.loads(line))
+                    record = decode(line)
                 except CorpusError as exc:
                     raise CorpusError(f"{path}:{lineno}: {exc}") from exc
                 except (ValueError, KeyError, TypeError) as exc:
@@ -541,11 +587,10 @@ def dump_exemplars(pool: Iterable[Exemplar], path: str | Path) -> None:
     """Write a pool, one exemplar record per line, writing each distinct
     history turn's text once."""
     encode = _turn_encoder()
-    head = '{"history": ['
 
     def line(e: Exemplar) -> str:
-        # "history" is the record's first key: the encoding starts with head.
-        tail = _ENCODER.encode(_exemplar_obj(e, []))[len(head):]
-        return head + ", ".join(map(encode, e.history)) + tail + "\n"
+        # "history" is the record's first key: the encoding starts with the head.
+        tail = _ENCODER.encode(_exemplar_obj(e, []))[len(_HISTORY_HEAD):]
+        return _HISTORY_HEAD + ", ".join(map(encode, e.history)) + tail + "\n"
 
     _dump_jsonl(map(line, pool), path)

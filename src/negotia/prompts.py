@@ -145,10 +145,15 @@ def render_conversation(turns: list[Turn] | tuple[Turn, ...]) -> str:
     return "\n".join(f"{t.speaker.value}: {t.text}" for t in turns)
 
 
-def exemplar_text(e: Exemplar) -> str:
-    """An exemplar's history and violating line: what retrieval matches, and an ICL block quotes."""
+def exemplar_text(e: Exemplar, conversation: Optional[str] = None) -> str:
+    """An exemplar's history and violating line: what retrieval matches, and an ICL block quotes.
+
+    ``conversation``, when given, is ``render_conversation(e.history)``, for
+    a caller that renders each distinct history once."""
     line = f"{Speaker.SELLER.value}: {e.violation_text}"
-    return f"{render_conversation(e.history)}\n{line}" if e.history else line
+    if not e.history:
+        return line
+    return f"{render_conversation(e.history) if conversation is None else conversation}\n{line}"
 
 
 def format_icl_block(exemplars: list[Exemplar] | tuple[Exemplar, ...]) -> str:

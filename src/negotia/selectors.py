@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import Exemplar, ExemplarSet
-from .prompts import exemplar_text
+from .prompts import exemplar_text, render_conversation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,12 +107,20 @@ def select_retrieval(
     # Pools repeat texts (scripted prefixes do), and equal texts embed to equal
     # rows, so each distinct text is embedded and scored once per call.
     score: dict[str, float] = {}
+    # A loaded pool's equal histories are one tuple, so each distinct history
+    # object is rendered once per call; pool keeps every keyed object alive.
+    conversations: dict[int, str] = {}
     scored: list[tuple[float, str]] = []
     # Scored row by row with qv.dot, not as one matrix product, which sums in
     # another order and could reorder near-ties.
     for b in range(0, len(pool), _BLOCK):
         block = pool[b : b + _BLOCK]
-        texts = [exemplar_text(e) for e in block]
+        texts = []
+        for e in block:
+            conversation = conversations.get(id(e.history))
+            if conversation is None:
+                conversation = conversations[id(e.history)] = render_conversation(e.history)
+            texts.append(exemplar_text(e, conversation))
         new = [t for t in dict.fromkeys(texts) if t not in score]
         if new:
             vecs = embedder.embed_many(new)

@@ -8,12 +8,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from negotia.cli import run
 from negotia.core import load_dialogues, load_exemplars
+from negotia.search import search_optimal_set, split_candidates
 
 
 def read_manifest(out_path):
@@ -115,6 +117,31 @@ def test_filter_and_search_pipeline(tmp_path):
     manifest = read_manifest(set_path)
     assert manifest["counts"]["evaluations"] == len(trace["evaluations"])
     assert str(trace_path) in manifest["outputs"]
+
+
+def test_search_trace_replays_every_decision(tmp_path):
+    # The trace holds enough to replay the search: its recorded impacts as the
+    # impact function, the ranked file's order, k and m give the same bytes.
+    pool_path = make_pool_file(tmp_path, (0.9, 0.8, 0.7, 0.3, 0.2, 0.1, 0.6, 0.4))
+    ranked_path, set_path, trace_path = tmp_path / "ranked.json", tmp_path / "best.json", tmp_path / "trace.json"
+    probed = ["--pool", str(pool_path), "--probe-size", "4", "--seed", "5"]
+    assert run(["filter", *probed, "--sample", "8", "--out", str(ranked_path)]) == 0
+    # The filter's ranking with its last two ids moved to the front, so the search climbs and prunes.
+    ranked = json.loads(ranked_path.read_text())
+    ranked_path.write_text(json.dumps(ranked[-2:] + ranked[:-2]), encoding="utf-8")
+    k, m = 3, 2
+    assert run(["search", *probed, "--ranked", str(ranked_path), "--k", str(k), "--m", str(m),
+                "--out", str(set_path), "--trace", str(trace_path)]) == 0
+    trace = json.loads(trace_path.read_text())
+    impacts = {tuple(ev["members"]): ev["impact"] for ev in trace["evaluations"]}
+    s_init, s_cand = split_candidates([(o["id"], o["value_impact"]) for o in json.loads(ranked_path.read_text())], k)
+    best, replayed = search_optimal_set(s_init, s_cand, impacts.__getitem__, m)
+    assert len(trace["evaluations"]) > k + m and trace["pruning_events"]
+    assert json.dumps({
+        "evaluations": [asdict(ev) for ev in replayed.evaluations],
+        "pruning_events": [asdict(pe) for pe in replayed.pruning_events],
+        "best": {"members": list(best.members), "impact": best.value_impact},
+    }, indent=2) == trace_path.read_text(encoding="utf-8")
 
 
 def test_probe_size_from_config_file_and_flag(tmp_path):

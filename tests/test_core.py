@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -597,3 +598,169 @@ def test_turn_encoder_keys_only_declared_types():
     turns = [Turn(Speaker.SELLER, text, violation) for text in ("1", 1, 1.0, True) for violation in (True, 1)]
     for t in turns + turns:
         assert encode(t) == json.dumps(core._turn_to_obj(t), ensure_ascii=False, sort_keys=True)
+
+
+def test_every_dumped_pool_line_opens_with_the_history_head(tmp_path):
+    # The loader finds a line's history text between these two markers.
+    history = (Turn(Speaker.BUYER, "Ça coûte combien ? 😀"),
+               Turn(Speaker.SELLER, "Prix fixé", True, "C'est à prendre ou à laisser"))
+    pool = [
+        Exemplar("a", history, "v", "r"),
+        Exemplar("b", history, "v", "r", rationale="why", latent_quality=0.5),
+        Exemplar("c", (), "vé", "r", latent_quality=1),
+        Exemplar("d", history[:1], "v", "r", rationale="dès que possible"),
+    ]
+    path = tmp_path / "pool.jsonl"
+    dump_exemplars(pool, path)
+    encode = core._turn_encoder()
+    for e, line in zip(pool, written_lines(path), strict=True):
+        assert line.startswith(core._HISTORY_HEAD + ", ".join(map(encode, e.history)) + core._HISTORY_END)
+
+
+@pytest.mark.parametrize("before, record, after", [
+    ("\x0c", True, "\x1f"),
+    ("", True, " "),
+    ("\x0c", False, ""),
+    ("\xa0", False, ""),
+], ids=["form feed around a record", "line separator after a record", "form feed alone", "nbsp alone"])
+def test_only_json_whitespace_is_stripped_or_blank(tmp_path, before, record, after):
+    # str.strip() would skip these lines or read the record inside; json.loads refuses both.
+    path = tmp_path / "records.jsonl"
+    for load, line in ((load_dialogues, corpus_line()), (load_exemplars, pool_line())):
+        path.write_text(line + before + (line.strip() if record else "") + after + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=":2: malformed record"):
+            load(path)
+        path.write_text(" \t" + line.strip() + "\t \n", encoding="utf-8")
+        assert len(load(path)) == 1
+
+
+def reference_load(path):
+    """load_exemplars with every line through json.loads, as before the
+    loader looked for repeated histories: its repr, or its error message."""
+    with mock.patch.object(core, "_PROBE_LINES", 0):
+        return loaded(path)
+
+
+def loaded(path):
+    try:
+        return repr(load_exemplars(path))  # a repr tells 1 from 1.0
+    except CorpusError as exc:
+        return str(exc)
+
+
+def hand_built(e: Exemplar, kind: str, other: tuple[Turn, ...]) -> str:
+    """One pool line for ``e``: as dump_exemplars writes it, or one of the
+    variants the loader's fast path must read as json.loads does."""
+    head, end = core._HISTORY_HEAD, core._HISTORY_END
+    turns = [core._turn_encoder()(t) for t in e.history]
+    history = ", ".join(turns)
+    obj = core._exemplar_obj(e, [core._turn_to_obj(t) for t in e.history])
+    line = json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    rest = json.dumps({k: v for k, v in obj.items() if k != "history"}, ensure_ascii=False, sort_keys=True)
+    if kind == "reordered":
+        return json.dumps(dict(reversed(obj.items())), ensure_ascii=False)
+    if kind == "spaced":  # the dumped history, then the other keys spaced out
+        spaced = json.dumps(json.loads(rest), ensure_ascii=False, sort_keys=True, separators=(" ,  ", ": "))
+        return "  " + head + history + "], " + spaced[1:] + " \t"
+    if kind == "second history":  # JSON's last key wins
+        return line[:-1] + ', "history": ' + json.dumps([core._turn_to_obj(t) for t in other]) + "}"
+    if kind == "turn with an id" and turns:
+        turns[0] = turns[0][:-1] + ', "id": 7}'
+    if kind == "array key, then id" and turns:
+        turns[0] = '{"tags": [' + turns[0] + '], "id": 7, ' + turns[0][1:]
+    if kind == "malformed rest":
+        rest = rest[:-1] + ",}"
+    if kind == "empty violation":
+        rest = rest.replace('"violation_text": ' + json.dumps(e.violation_text, ensure_ascii=False),
+                            '"violation_text": ""')
+    return head + ", ".join(turns) + "], " + rest[1:]
+
+
+LINE_KINDS = ("dumped", "reordered", "spaced", "second history", "turn with an id",
+              "array key, then id", "malformed rest", "empty violation")
+
+HISTORIES = st.lists(st.tuples(TEXTS, st.one_of(st.none(), st.just(""), TEXTS)), max_size=4).map(
+    lambda run: tuple(
+        # An odd position is a seller's; original "" marks a violation without an original.
+        Turn((Speaker.BUYER, Speaker.SELLER)[i % 2], text, i % 2 == 1 and original is not None, original or None)
+        for i, (text, original) in enumerate(run)
+    )
+)
+
+
+@st.composite
+def mixed_pools(draw):
+    """Rows (exemplar, line kind, another history) over a few histories, so
+    that lines repeat histories; most lines are dumped ones."""
+    histories = draw(st.lists(HISTORIES, min_size=1, max_size=3))
+    kinds = st.one_of(st.just("dumped"), st.sampled_from(LINE_KINDS))
+    return [
+        (
+            Exemplar(
+                id=f"x-{i}", history=draw(st.sampled_from(histories)),
+                violation_text=draw(st.sampled_from(["v", "é €"])), remediation_text="r",
+                rationale=draw(st.one_of(st.none(), st.just("why"))),
+                latent_quality=draw(st.one_of(st.none(), st.sampled_from([0.25, 1]))),
+            ),
+            draw(kinds),
+            draw(st.sampled_from(histories)),
+        )
+        for i in range(draw(st.integers(1, 12)))
+    ]
+
+
+def write_rows(path, rows):
+    path.write_text("".join(hand_built(e, kind, other) + "\n" for e, kind, other in rows), encoding="utf-8")
+
+
+@given(mixed_pools())
+def test_pool_fast_path_reads_as_json_loads(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("pool") / "pool.jsonl"
+    write_rows(path, rows)
+    got = loaded(path)
+    assert got == reference_load(path)
+    if not got.startswith(str(path)):  # it loaded: dumped lines share one tuple per distinct history
+        dumped = [e for e, (_, kind, _) in zip(load_exemplars(path), rows) if kind in ("dumped", "spaced")]
+        assert len({id(e.history) for e in dumped}) == len({e.history for e in dumped})
+
+
+@pytest.mark.parametrize("kind", LINE_KINDS)
+def test_each_line_kind_after_a_repeat_reads_as_json_loads(tmp_path, kind):
+    history = (Turn(Speaker.BUYER, "hi"), Turn(Speaker.SELLER, "no", True, "NO!"))
+    rows = [(Exemplar(f"x-{i}", history, "v", "r", latent_quality=0.5), k, (Turn(Speaker.BUYER, "other"),))
+            for i, k in enumerate(["dumped", kind, "dumped"])]
+    path = tmp_path / "pool.jsonl"
+    write_rows(path, rows)
+    assert loaded(path) == reference_load(path)
+
+
+def test_pool_history_table_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
+    histories = [(Turn(Speaker.BUYER, f"offer {j}"),) for j in range(3)]
+    pool = [Exemplar(f"x-{i}", histories[i % 3], "v", "r") for i in range(9)]
+    path = tmp_path / "pool.jsonl"
+    dump_exemplars(pool, path)
+    loaded_pool = load_exemplars(path)
+    assert loaded_pool == pool
+    assert [len({id(e.history) for e in loaded_pool[j::3]}) for j in range(3)] == [1, 1, 3]
+
+
+def test_an_all_distinct_pool_stops_looking_after_its_first_lines(tmp_path, monkeypatch):
+    base = (Turn(Speaker.BUYER, "Could you do better?"), Turn(Speaker.SELLER, "This is my price."),
+            Turn(Speaker.BUYER, "Meet me halfway?"))
+    pool = [Exemplar(f"x-{i}", tuple(replace(t, text=f"{t.text} {i}") for t in base), "v", "r")
+            for i in range(3 * core._PROBE_LINES)]
+    path = tmp_path / "pool.jsonl"
+    dump_exemplars(pool, path)
+    encoded = []
+    turn_encoder = core._turn_encoder
+
+    def spy():
+        encode = turn_encoder()
+        return lambda t: encoded.append(t) or encode(t)
+
+    monkeypatch.setattr(core, "_turn_encoder", spy)
+    assert load_exemplars(path) == pool
+    # Only the first _PROBE_LINES histories were re-encoded to be stored.
+    assert encoded == [t for e in pool[: core._PROBE_LINES] for t in e.history]
+    assert loaded(path) == reference_load(path)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from negotia.core import Exemplar
-from negotia.prompts import exemplar_text
+from negotia import selectors
+from negotia.core import Exemplar, dump_exemplars, load_exemplars
+from negotia.prompts import exemplar_text, render_conversation
 from negotia.selectors import (
     HashedNgramEmbedder,
     select_random,
@@ -277,3 +278,19 @@ def test_select_retrieval_on_a_repeating_pool_equals_per_exemplar_loop(k):
     for query in ["buyer: Could you reconsider the price for t3?\nseller: We will not budge on offer 3",
                   "ab"]:
         assert select_retrieval(pool, query, k, embedder).members == loop_ranking(pool, query, k, embedder)
+
+
+def test_select_retrieval_renders_each_distinct_history_once(tmp_path, monkeypatch):
+    # A loaded pool's equal histories are one tuple, so each is rendered once.
+    path = tmp_path / "pool.jsonl"
+    dump_exemplars(repeating_pool(300, 17, seed=5), path)
+    pool = load_exemplars(path)
+    rendered = []
+    monkeypatch.setattr(selectors, "render_conversation",
+                        lambda turns: rendered.append(turns) or render_conversation(turns))
+    query = "buyer: Could you reconsider the price for t3?\nseller: We will not budge on offer 3"
+    got = select_retrieval(pool, query, 8, HashedNgramEmbedder()).members
+    assert len(rendered) == len({id(e.history) for e in pool}) == 17
+    assert got == loop_ranking(pool, query, 8, HashedNgramEmbedder())
+    empty = Exemplar(id="e", history=(), violation_text="v", remediation_text="r")
+    assert all(exemplar_text(e, render_conversation(e.history)) == exemplar_text(e) for e in [*pool, empty])
