@@ -396,15 +396,101 @@ def _outcome_fields(o: dict) -> tuple:
     return deal, price, trust, business
 
 
+# A line that dump_dialogues or dump_exemplars writes holds the record's run
+# of turns, as _turn_encoder writes them, at a fixed place. A dialogue line is
+# its other keys, _TURNS_HEAD, the run, then "]}": "turns" sorts last among a
+# dialogue record's keys. An exemplar line is _HISTORY_HEAD, the run, then
+# _HISTORY_END: "history" sorts first among an exemplar record's keys and
+# "id", always present, second.
+_TURNS_HEAD = ', "turns": ['
+_HISTORY_HEAD = '{"history": ['
+_HISTORY_END = '], "id": '
+
+# The lines a file's loader reads without finding a repeated run before it
+# stops looking: remote files repeat none.
+_PROBE_LINES = 64
+
+Record = TypeVar("Record", Dialogue, Exemplar)
+
+
+def _split_dialogue(line: str) -> Optional[tuple[str, str]]:
+    """A dialogue line's run text and the JSON text of its other keys, when
+    the line has the shape dump_dialogues writes."""
+    start = line.find(_TURNS_HEAD)
+    if start < 0 or not line.endswith("]}"):
+        return None
+    return line[start + len(_TURNS_HEAD) : -2], line[:start] + "}"
+
+
+def _split_exemplar(line: str) -> Optional[tuple[str, str]]:
+    """An exemplar line's history text and the JSON text of its other keys,
+    when the line has the shape dump_exemplars writes."""
+    end = line.find(_HISTORY_END) if line.startswith(_HISTORY_HEAD) else -1
+    if end < 0:
+        return None
+    return line[len(_HISTORY_HEAD) : end], "{" + line[end + 3 :]  # past "], "
+
+
+def _run_reader(
+    key: str, split: Callable[[str], Optional[tuple[str, str]]], fields: Callable[..., Record]
+) -> Callable[[str], Record]:
+    """``decode(line)``: ``fields(json.loads(line))``, except that the lines
+    ``split`` cuts into a run text (the record's ``key``) and the text of
+    their other keys share one tuple per distinct run text, decoded and
+    checked once, up to ``_INTERN_LIMIT`` of them: a repeat parses only its
+    other keys and passes the run as ``fields(obj, run)``. A run is stored
+    as its first line decodes it, and is used from its first repeat on only
+    if its text is the one the writers write for it. A file whose first
+    ``_PROBE_LINES`` lines repeat no run is read without looking."""
+    encode_turn = _turn_encoder()
+    runs: dict[str, tuple[Turn, ...]] = {}
+    checked: set[str] = set()
+    read, hit = 0, False
+
+    def decode(line: str) -> Record:
+        nonlocal read, hit
+        read += 1
+        cut = split(line) if hit or read <= _PROBE_LINES else None
+        if cut is None:
+            return fields(json.loads(line))
+        text, rest = cut
+        run = runs.get(text)
+        if run is None:
+            record = fields(json.loads(line))
+            if len(runs) < _INTERN_LIMIT:
+                runs[text] = getattr(record, key)
+            return record
+        hit = True
+        if text not in checked:
+            # A line with extra turn keys, or with other keys inside its run
+            # text, stores a run under a text that is not the writer's.
+            if text != ", ".join(map(encode_turn, run)):
+                del runs[text]
+                return fields(json.loads(line))
+            checked.add(text)
+        # A checked text is a whole list of turn objects, so the other keys
+        # parse alone as they do around it; a rest that fails to parse, is
+        # empty or holds its own run key takes the whole-line path.
+        try:
+            obj = json.loads(rest)
+        except ValueError:
+            obj = None
+        if obj and key not in obj:
+            return fields(obj, run)
+        return fields(json.loads(line))
+
+    return decode
+
+
 def _dialogue_decoder() -> Callable[[str], Dialogue]:
     """Decode dialogue lines under the file's rules; equal turns, bounds
-    and outcomes across the records share one object each."""
+    and outcomes across the records share one object each, and so do equal
+    turn runs (``_run_reader``)."""
     decode_turn = _turn_decoder()
     share_bounds = _interner(PriceBounds)
     share_outcome = _interner(NegotiationOutcome)
 
-    def decode(line: str) -> Dialogue:
-        obj = json.loads(line)
+    def fields(obj: dict, turns: Optional[tuple[Turn, ...]] = None) -> Dialogue:
         did = _record_id(obj)
         b = obj["bounds"]
         cost, seller, buyer = b["cost_price"], b["seller_init"], b["buyer_init"]
@@ -416,9 +502,10 @@ def _dialogue_decoder() -> Callable[[str], Dialogue]:
         language, error = obj.get("language", "en"), obj.get("error")
         if type(language) is not str or not (error is None or type(error) is str):
             raise CorpusError("language must be a string, and error a string or null")
-        turns = _decode_turns(obj["turns"], decode_turn)
-        if problems := _opener_problems(turns):
-            raise CorpusError("; ".join(problems))
+        if turns is None:
+            turns = _decode_turns(obj["turns"], decode_turn)
+            if problems := _opener_problems(turns):
+                raise CorpusError("; ".join(problems))
         return Dialogue(
             id=did,
             topic=Topic(obj["topic"]),
@@ -429,18 +516,7 @@ def _dialogue_decoder() -> Callable[[str], Dialogue]:
             error=error,
         )
 
-    return decode
-
-
-# Every line dump_exemplars writes is _HISTORY_HEAD, the history's turns as
-# _turn_encoder writes them, then _HISTORY_END: "history" sorts first among an
-# exemplar record's keys and "id", always present, second.
-_HISTORY_HEAD = '{"history": ['
-_HISTORY_END = '], "id": '
-
-# The lines a pool file's loader reads without finding a repeated history
-# before it stops looking: remote pools repeat none.
-_PROBE_LINES = 64
+    return _run_reader("turns", _split_dialogue, fields)
 
 
 def _exemplar_obj(e: Exemplar, history: list) -> dict:
@@ -459,14 +535,9 @@ def _exemplar_obj(e: Exemplar, history: list) -> dict:
 
 def _exemplar_decoder() -> Callable[[str], Exemplar]:
     """Decode exemplar lines under the file's rules; equal history turns
-    across the records share one ``Turn``, and equal histories written as
-    ``dump_exemplars`` writes them share one tuple, decoded and checked once,
-    up to ``_INTERN_LIMIT`` of them. A file whose first ``_PROBE_LINES``
-    lines repeat no history is read without looking for repeats."""
+    across the records share one ``Turn``, and equal histories one tuple
+    (``_run_reader``)."""
     decode_turn = _turn_decoder()
-    encode_turn = _turn_encoder()
-    histories: dict[str, tuple[Turn, ...]] = {}
-    read, hit = 0, False
 
     def fields(obj: dict, history: Optional[tuple[Turn, ...]] = None) -> Exemplar:
         eid = _record_id(obj)
@@ -491,38 +562,7 @@ def _exemplar_decoder() -> Callable[[str], Exemplar]:
             latent_quality=quality,
         )
 
-    def decode(line: str) -> Exemplar:
-        nonlocal read, hit
-        read += 1
-        looking = hit or read <= _PROBE_LINES
-        end = line.find(_HISTORY_END) if looking and line.startswith(_HISTORY_HEAD) else -1
-        if end < 0:
-            return fields(json.loads(line))
-        text = line[len(_HISTORY_HEAD) : end]
-        history = histories.get(text)
-        if history is not None:
-            hit = True
-            # A stored text is a whole list of turn objects, so the line's
-            # other keys parse alone as they do after it; a rest that fails
-            # to parse or holds its own "history" takes the whole-line path.
-            try:
-                rest = json.loads("{" + line[end + 3 :])  # past "], "
-            except ValueError:
-                rest = None
-            if rest is not None and "history" not in rest:
-                return fields(rest, history)
-            return fields(json.loads(line))
-        e = fields(json.loads(line))
-        # Stored only under the text dump_exemplars writes for the history,
-        # so that extra turn keys cannot plant a wrong entry.
-        if len(histories) < _INTERN_LIMIT and text == ", ".join(map(encode_turn, e.history)):
-            histories[text] = e.history
-        return e
-
-    return decode
-
-
-Record = TypeVar("Record", Dialogue, Exemplar)
+    return _run_reader("history", _split_exemplar, fields)
 
 
 def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[str], Record]]) -> list[Record]:
@@ -571,9 +611,9 @@ def dump_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
     encode = _turn_encoder()
 
     def line(d: Dialogue) -> str:
-        # "turns" is the record's last key: the encoding ends '"turns": []}'.
-        head = _ENCODER.encode(_dialogue_obj(d, []))
-        return head[:-2] + ", ".join(map(encode, d.turns)) + "]}\n"
+        # "turns" is the record's last key: the encoding ends with the marker and "]}".
+        head = _ENCODER.encode(_dialogue_obj(d, []))[: -len(_TURNS_HEAD) - 2]
+        return head + _TURNS_HEAD + ", ".join(map(encode, d.turns)) + "]}\n"
 
     _dump_jsonl(map(line, dialogues), path)
 
@@ -589,8 +629,9 @@ def dump_exemplars(pool: Iterable[Exemplar], path: str | Path) -> None:
     encode = _turn_encoder()
 
     def line(e: Exemplar) -> str:
-        # "history" is the record's first key: the encoding starts with the head.
-        tail = _ENCODER.encode(_exemplar_obj(e, []))[len(_HISTORY_HEAD):]
-        return _HISTORY_HEAD + ", ".join(map(encode, e.history)) + tail + "\n"
+        # "history" is the record's first key and "id" its second: the
+        # encoding starts with both markers.
+        tail = _ENCODER.encode(_exemplar_obj(e, []))[len(_HISTORY_HEAD) + len(_HISTORY_END):]
+        return _HISTORY_HEAD + ", ".join(map(encode, e.history)) + _HISTORY_END + tail + "\n"
 
     _dump_jsonl(map(line, pool), path)

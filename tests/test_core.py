@@ -634,16 +634,16 @@ def test_only_json_whitespace_is_stripped_or_blank(tmp_path, before, record, aft
         assert len(load(path)) == 1
 
 
-def reference_load(path):
-    """load_exemplars with every line through json.loads, as before the
-    loader looked for repeated histories: its repr, or its error message."""
+def reference_load(path, load=load_exemplars):
+    """``load`` with every line through json.loads, as before the loaders
+    looked for repeated runs: its repr, or its error message."""
     with mock.patch.object(core, "_PROBE_LINES", 0):
-        return loaded(path)
+        return loaded(path, load)
 
 
-def loaded(path):
+def loaded(path, load=load_exemplars):
     try:
-        return repr(load_exemplars(path))  # a repr tells 1 from 1.0
+        return repr(load(path))  # a repr tells 1 from 1.0
     except CorpusError as exc:
         return str(exc)
 
@@ -668,6 +668,9 @@ def hand_built(e: Exemplar, kind: str, other: tuple[Turn, ...]) -> str:
         turns[0] = turns[0][:-1] + ', "id": 7}'
     if kind == "array key, then id" and turns:
         turns[0] = '{"tags": [' + turns[0] + '], "id": 7, ' + turns[0][1:]
+    if kind == "key inside the history":  # the history text holds a key the rest lacks
+        return (head + history + '], "rationale": "planted", "history": ['
+                + ", ".join(core._turn_encoder()(t) for t in other) + "], " + rest[1:])
     if kind == "malformed rest":
         rest = rest[:-1] + ",}"
     if kind == "empty violation":
@@ -679,13 +682,18 @@ def hand_built(e: Exemplar, kind: str, other: tuple[Turn, ...]) -> str:
 LINE_KINDS = ("dumped", "reordered", "spaced", "second history", "turn with an id",
               "array key, then id", "malformed rest", "empty violation")
 
-HISTORIES = st.lists(st.tuples(TEXTS, st.one_of(st.none(), st.just(""), TEXTS)), max_size=4).map(
-    lambda run: tuple(
-        # An odd position is a seller's; original "" marks a violation without an original.
-        Turn((Speaker.BUYER, Speaker.SELLER)[i % 2], text, i % 2 == 1 and original is not None, original or None)
-        for i, (text, original) in enumerate(run)
+def turn_runs(texts):
+    """Alternating runs of turns that open with the buyer."""
+    return st.lists(st.tuples(texts, st.one_of(st.none(), st.just(""), texts)), max_size=4).map(
+        lambda run: tuple(
+            # An odd position is a seller's; original "" marks a violation without an original.
+            Turn((Speaker.BUYER, Speaker.SELLER)[i % 2], text, i % 2 == 1 and original is not None, original or None)
+            for i, (text, original) in enumerate(run)
+        )
     )
-)
+
+
+HISTORIES = turn_runs(TEXTS)
 
 
 @st.composite
@@ -734,6 +742,18 @@ def test_each_line_kind_after_a_repeat_reads_as_json_loads(tmp_path, kind):
     assert loaded(path) == reference_load(path)
 
 
+def test_a_repeated_history_text_holding_other_keys_reads_as_json_loads(tmp_path):
+    # Its stored history decodes as the line does, but the text is not the
+    # writer's: its repeat must not skip the key inside it.
+    history = (Turn(Speaker.BUYER, "hi"), Turn(Speaker.SELLER, "no", True, "NO!"))
+    rows = [(Exemplar(f"x-{i}", history, "v", "r"), kind, history[:1])
+            for i, kind in enumerate(["dumped", "key inside the history", "key inside the history", "dumped"])]
+    path = tmp_path / "pool.jsonl"
+    write_rows(path, rows)
+    assert loaded(path) == reference_load(path)
+    assert [e.rationale for e in load_exemplars(path)] == [None, "planted", "planted", None]
+
+
 def test_pool_history_table_is_bounded(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
     histories = [(Turn(Speaker.BUYER, f"offer {j}"),) for j in range(3)]
@@ -759,8 +779,164 @@ def test_an_all_distinct_pool_stops_looking_after_its_first_lines(tmp_path, monk
         encode = turn_encoder()
         return lambda t: encoded.append(t) or encode(t)
 
+    split, split_exemplar = [], core._split_exemplar
     monkeypatch.setattr(core, "_turn_encoder", spy)
+    monkeypatch.setattr(core, "_split_exemplar", lambda line: split.append(line) or split_exemplar(line))
     assert load_exemplars(path) == pool
-    # Only the first _PROBE_LINES histories were re-encoded to be stored.
-    assert encoded == [t for e in pool[: core._PROBE_LINES] for t in e.history]
+    # A stored history is checked on its first repeat, and none repeats.
+    assert encoded == []
+    assert len(split) == core._PROBE_LINES
     assert loaded(path) == reference_load(path)
+
+
+def test_every_dumped_corpus_line_ends_with_its_run(tmp_path, bounds):
+    # The loader finds a line's run text between the first marker and the closing "]}".
+    turns = (Turn(Speaker.BUYER, 'Ça coûte combien ? 😀 , "turns": ['),
+             Turn(Speaker.SELLER, "Prix fixé", True, "C'est à prendre ou à laisser"))
+    corpus = [
+        Dialogue("a", Topic.PRODUCT_SALE, bounds, turns, NegotiationOutcome(True, 4000, 1, 0)),
+        Dialogue("b", Topic.PRODUCT_SALE, bounds, turns, language="fr"),
+        Dialogue("c", Topic.PRODUCT_SALE, bounds, turns[:1], error="délai dépassé"),
+        Dialogue('d, "turns": [', Topic.PRODUCT_SALE, bounds, (), NegotiationOutcome(False)),
+    ]
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues(corpus, path)
+    encode = core._turn_encoder()
+    for d, line in zip(corpus, written_lines(path), strict=True):
+        run = ", ".join(map(encode, d.turns))
+        assert line.index(core._TURNS_HEAD) == len(line) - len(core._TURNS_HEAD + run + "]}")
+        assert core._split_dialogue(line)[0] == run
+    assert path.read_bytes().decode("utf-8").count("]}\n") == len(corpus)
+
+
+def corpus_row(d: Dialogue, kind: str, other: tuple[Turn, ...], first_id: str) -> str:
+    """One corpus line for ``d``: as dump_dialogues writes it, or one of the
+    variants the loader's fast path must read as json.loads does."""
+    if kind == "no outcome, an error":
+        d = replace(d, outcome=None, error="timed out")
+    elif kind == "empty run":
+        d = replace(d, turns=())
+    elif kind == "seller opens":
+        d = replace(d, turns=(Turn(Speaker.SELLER, "The price is fixed."),) + d.turns)
+    elif kind == "duplicate id":
+        d = replace(d, id=first_id)
+    turns = list(map(core._turn_encoder(), d.turns))
+    obj = dialogue_to_obj(d)
+    head = json.dumps({k: v for k, v in obj.items() if k != "turns"}, ensure_ascii=False, sort_keys=True)
+    if kind == "reordered":
+        return json.dumps(dict(reversed(obj.items())), ensure_ascii=False)
+    if kind == "spaced":  # the head spaced out, then the dumped run
+        spaced = json.dumps(json.loads(head), ensure_ascii=False, sort_keys=True, separators=(" ,  ", " : "))
+        return "  " + spaced[:-1] + " " + core._TURNS_HEAD + ", ".join(turns) + "]} \t"
+    if kind == "second turns":  # JSON's last key wins
+        return (head[:-1] + core._TURNS_HEAD + ", ".join(turns) + '], "turns": '
+                + json.dumps([core._turn_to_obj(t) for t in other]) + "}")
+    if kind == "key inside the run":  # the run text holds a key the head also has
+        return (head[:-1] + core._TURNS_HEAD + ", ".join(turns) + '], "language": "planted", "turns": ['
+                + ", ".join(map(core._turn_encoder(), other)) + "]}")
+    if kind == "turn with turns" and turns:
+        turns[0] = turns[0][:-1] + ', "turns": [1, 2]}'
+    if kind == "extra key":
+        head = json.dumps({**json.loads(head), "interactive_choices": [{"accepted": True}]},
+                          ensure_ascii=False, sort_keys=True)
+    if kind == "malformed head":
+        head = head[:-1] + ",}"
+    if kind == "empty head":
+        head = "{}"
+    return head[:-1] + core._TURNS_HEAD + ", ".join(turns) + "]}"
+
+
+CORPUS_LINE_KINDS = ("dumped", "reordered", "spaced", "second turns", "key inside the run", "turn with turns",
+                     "malformed head",
+                     "empty head", "no outcome, an error", "extra key", "seller opens", "duplicate id",
+                     "empty run")
+# Kinds whose line holds the run as dump_dialogues writes it and loads.
+CANONICAL_RUN_KINDS = ("dumped", "spaced", "no outcome, an error", "extra key", "empty run")
+# Marker-like texts, which the writer escapes.
+RUNS = turn_runs(st.one_of(TEXTS, st.sampled_from([core._TURNS_HEAD, "]}", '"}, {"'])))
+
+
+@st.composite
+def mixed_corpora(draw):
+    """Rows (dialogue, line kind, another run) over a few runs, so that
+    lines repeat runs; most lines are dumped ones."""
+    runs = draw(st.lists(RUNS, min_size=1, max_size=3))
+    kinds = st.one_of(st.just("dumped"), st.sampled_from(CORPUS_LINE_KINDS))
+    outcomes = st.sampled_from([None, NegotiationOutcome(True, 4000, 1, 0), NegotiationOutcome(False)])
+    return [
+        (
+            Dialogue(
+                id=f"d-{i}" + draw(st.sampled_from(["", core._TURNS_HEAD, "é"])), topic=Topic.PRODUCT_SALE,
+                bounds=PriceBounds(3500, 5000, draw(st.sampled_from([2000, 3000]))),
+                turns=draw(st.sampled_from(runs)), outcome=draw(outcomes),
+                language=draw(st.sampled_from(["en", "fr"])),
+            ),
+            draw(kinds),
+            draw(st.sampled_from(runs)),
+        )
+        for i in range(draw(st.integers(1, 12)))
+    ]
+
+
+def write_corpus_rows(path, rows):
+    first_id = rows[0][0].id
+    path.write_text("".join(corpus_row(d, kind, other, first_id) + "\n" for d, kind, other in rows),
+                    encoding="utf-8")
+
+
+@given(mixed_corpora())
+def test_corpus_fast_path_reads_as_json_loads(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    write_corpus_rows(path, rows)
+    got = loaded(path, load_dialogues)
+    assert got == reference_load(path, load_dialogues)
+    if not got.startswith(str(path)):  # it loaded: dumped runs share one tuple per distinct run
+        dumped = [d for d, (_, kind, _) in zip(load_dialogues(path), rows) if kind in CANONICAL_RUN_KINDS]
+        assert len({id(d.turns) for d in dumped}) == len({d.turns for d in dumped})
+
+
+@pytest.mark.parametrize("repeats", [1, 2], ids=["first repeat", "later repeat"])
+@pytest.mark.parametrize("kind", CORPUS_LINE_KINDS)
+def test_each_corpus_line_kind_after_a_repeat_reads_as_json_loads(tmp_path, kind, repeats, bounds):
+    run = (Turn(Speaker.BUYER, "hi"), Turn(Speaker.SELLER, "no", True, "NO!"))
+    kinds = ["dumped"] * repeats + [kind, kind, "dumped"]  # the kind's own run text repeats too
+    rows = [(Dialogue(f"d-{i}", Topic.PRODUCT_SALE, bounds, run, NegotiationOutcome(True, 4000)), k,
+             (Turn(Speaker.BUYER, "other"),))
+            for i, k in enumerate(kinds)]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_rows(path, rows)
+    assert loaded(path, load_dialogues) == reference_load(path, load_dialogues)
+
+
+def test_corpus_run_table_is_bounded(tmp_path, monkeypatch, bounds):
+    monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
+    runs = [(Turn(Speaker.BUYER, f"offer {j}"),) for j in range(3)]
+    corpus = [Dialogue(f"d-{i}", Topic.PRODUCT_SALE, bounds, runs[i % 3]) for i in range(9)]
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues(corpus, path)
+    loaded_corpus = load_dialogues(path)
+    assert loaded_corpus == corpus
+    assert [len({id(d.turns) for d in loaded_corpus[j::3]}) for j in range(3)] == [1, 1, 3]
+
+
+def test_an_all_distinct_corpus_stops_looking_after_its_first_lines(tmp_path, monkeypatch, bounds):
+    base = (Turn(Speaker.BUYER, "Could you do better?"), Turn(Speaker.SELLER, "This is my price."),
+            Turn(Speaker.BUYER, "Meet me halfway?"))
+    corpus = [Dialogue(f"d-{i}", Topic.PRODUCT_SALE, bounds, tuple(replace(t, text=f"{t.text} {i}") for t in base))
+              for i in range(3 * core._PROBE_LINES)]
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues(corpus, path)
+    encoded, split = [], []
+    turn_encoder, split_dialogue = core._turn_encoder, core._split_dialogue
+
+    def spy():
+        encode = turn_encoder()
+        return lambda t: encoded.append(t) or encode(t)
+
+    monkeypatch.setattr(core, "_turn_encoder", spy)
+    monkeypatch.setattr(core, "_split_dialogue", lambda line: split.append(line) or split_dialogue(line))
+    assert load_dialogues(path) == corpus
+    # No run repeats, so none is checked, and only the first lines are split.
+    assert encoded == []
+    assert len(split) == core._PROBE_LINES
+    assert loaded(path, load_dialogues) == reference_load(path, load_dialogues)

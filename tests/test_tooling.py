@@ -4,10 +4,12 @@ parse, every exported name exists, the package's names are its modules, no
 handler may catch every exception, every file opened as text names its
 encoding, the CLI reports every exception class the package defines and
 nothing else, no module imports a private name of another, only core
-tests whether UTF-8 can encode a text, only prompts writes a
-``speaker: text`` transcript line, only the bargaining transition
-writes a bargain state, no scripted line is rendered only to be thrown
-away, only retrieval loads numpy, and embed hashes through embed_many."""
+tests whether UTF-8 can encode a text, each marker a loader splits a
+record line at is one core constant that its writer and loader share,
+only prompts writes a ``speaker: text`` transcript line, only the
+bargaining transition writes a bargain state, no scripted line is rendered
+only to be thrown away, only retrieval loads numpy, and embed hashes
+through embed_many."""
 
 from __future__ import annotations
 
@@ -306,6 +308,62 @@ def test_only_core_tests_utf8_encodability():
         if (lines := _utf8_probes(path.read_text(encoding="utf-8")))
     }
     assert set(found) == {"core.py"}
+
+
+# The markers the loaders split a dumped record line at, each with the core
+# constant that names it and the writer and loader that go through it.
+RECORD_MARKERS = {
+    '{"history": [': ("_HISTORY_HEAD", "dump_exemplars", "_split_exemplar"),
+    '], "id": ': ("_HISTORY_END", "dump_exemplars", "_split_exemplar"),
+    ', "turns": [': ("_TURNS_HEAD", "dump_dialogues", "_split_dialogue"),
+}
+
+
+def _marker_literals(source: str) -> list[int]:
+    """Line numbers of string constants that hold a record marker, except
+    the one assigned to the marker's own constant."""
+    tree = ast.parse(source)
+    defining = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and node.value.value in RECORD_MARKERS and len(node.targets) == 1
+        and getattr(node.targets[0], "id", None) == RECORD_MARKERS[node.value.value][0]
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)  # an f-string's literal parts are Constant nodes too
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in defining
+        and any(marker in node.value for marker in RECORD_MARKERS)
+    )
+
+
+def test_record_marker_detector():
+    assert _marker_literals("""_TURNS_HEAD = ', "turns": ['\n_HISTORY_END = '], "id": '\n""") == []
+    assert _marker_literals(
+        """head = ', "turns": ['\n_HISTORY_END = '{"history": ['\nx = f'{a}], "id": {b}'\n"""
+        """_HISTORY_HEAD = _TURNS_HEAD = '{"history": ['\n"""
+    ) == [1, 2, 3, 4]
+    assert _marker_literals("""x = '"turns": ['\ny = '], "id":'\n""") == []
+
+
+def test_each_record_marker_is_one_core_constant():
+    # The loaders split the lines the writers write at these markers; a
+    # second spelling of one could drift from the other.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (lines := _marker_literals(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+    from negotia import core
+
+    names = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in ast.walk(ast.parse(Path(core.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for marker, (constant, writer, loader) in RECORD_MARKERS.items():
+        assert getattr(core, constant) == marker
+        assert constant in names[writer] and constant in names[loader]
 
 
 def _speaker_value(node: ast.expr) -> bool:
