@@ -397,11 +397,14 @@ def _outcome_fields(o: dict) -> tuple:
 
 
 # A line that dump_dialogues or dump_exemplars writes holds the record's run
-# of turns, as _turn_encoder writes them, at a fixed place. A dialogue line is
-# its other keys, _TURNS_HEAD, the run, then "]}": "turns" sorts last among a
-# dialogue record's keys. An exemplar line is _HISTORY_HEAD, the run, then
-# _HISTORY_END: "history" sorts first among an exemplar record's keys and
-# "id", always present, second.
+# of turns at a fixed place. A dialogue line is its other keys, _TURNS_HEAD,
+# the run, then "]}": "turns" sorts last among a dialogue record's keys. An
+# exemplar line is _HISTORY_HEAD, the run, then _HISTORY_END: "history" sorts
+# first among an exemplar record's keys and "id", always present, second.
+# So a line the splitters cut is exactly the object of its other keys with
+# the run spliced in as one more member, and when both parts parse on their
+# own, JSON's object grammar makes the line their union: the loaders need not
+# know how a writer encodes a turn.
 _TURNS_HEAD = ', "turns": ['
 _HISTORY_HEAD = '{"history": ['
 _HISTORY_END = '], "id": '
@@ -438,13 +441,13 @@ def _run_reader(
     ``split`` cuts into a run text (the record's ``key``) and the text of
     their other keys share one tuple per distinct run text, decoded and
     checked once, up to ``_INTERN_LIMIT`` of them: a repeat parses only its
-    other keys and passes the run as ``fields(obj, run)``. A run is stored
-    as its first line decodes it, and is used from its first repeat on only
-    if its text is the one the writers write for it. A file whose first
-    ``_PROBE_LINES`` lines repeat no run is read without looking."""
-    encode_turn = _turn_encoder()
+    other keys and passes the run as ``fields(obj, run)``. By the JSON
+    grammar, when the other keys parse alone to a non-empty object without
+    ``key`` and ``"[" + text + "]"`` parses alone, the line is that object
+    with the run under ``key``, whatever writer wrote it; a line whose parts
+    do not is read whole. A file whose first ``_PROBE_LINES`` lines repeat
+    no run is read without looking."""
     runs: dict[str, tuple[Turn, ...]] = {}
-    checked: set[str] = set()
     read, hit = 0, False
 
     def decode(line: str) -> Record:
@@ -454,30 +457,24 @@ def _run_reader(
         if cut is None:
             return fields(json.loads(line))
         text, rest = cut
-        run = runs.get(text)
-        if run is None:
-            record = fields(json.loads(line))
-            if len(runs) < _INTERN_LIMIT:
-                runs[text] = getattr(record, key)
-            return record
-        hit = True
-        if text not in checked:
-            # A line with extra turn keys, or with other keys inside its run
-            # text, stores a run under a text that is not the writer's.
-            if text != ", ".join(map(encode_turn, run)):
-                del runs[text]
-                return fields(json.loads(line))
-            checked.add(text)
-        # A checked text is a whole list of turn objects, so the other keys
-        # parse alone as they do around it; a rest that fails to parse, is
-        # empty or holds its own run key takes the whole-line path.
         try:
             obj = json.loads(rest)
         except ValueError:
             obj = None
-        if obj and key not in obj:
+        if not obj or key in obj:  # no object to splice the run into, or a second run key
+            return fields(json.loads(line))
+        run = runs.get(text)
+        if run is not None:
+            hit = True
             return fields(obj, run)
-        return fields(json.loads(line))
+        try:
+            obj[key] = json.loads("[" + text + "]")
+        except ValueError:
+            return fields(json.loads(line))
+        record = fields(obj)  # a new run's errors come in the whole-line order
+        if len(runs) < _INTERN_LIMIT:
+            runs[text] = getattr(record, key)
+        return record
 
     return decode
 

@@ -743,8 +743,8 @@ def test_each_line_kind_after_a_repeat_reads_as_json_loads(tmp_path, kind):
 
 
 def test_a_repeated_history_text_holding_other_keys_reads_as_json_loads(tmp_path):
-    # Its stored history decodes as the line does, but the text is not the
-    # writer's: its repeat must not skip the key inside it.
+    # Its history text holds other keys, so it does not parse on its own:
+    # each of its lines, the repeat too, is read whole.
     history = (Turn(Speaker.BUYER, "hi"), Turn(Speaker.SELLER, "no", True, "NO!"))
     rows = [(Exemplar(f"x-{i}", history, "v", "r"), kind, history[:1])
             for i, kind in enumerate(["dumped", "key inside the history", "key inside the history", "dumped"])]
@@ -772,19 +772,9 @@ def test_an_all_distinct_pool_stops_looking_after_its_first_lines(tmp_path, monk
             for i in range(3 * core._PROBE_LINES)]
     path = tmp_path / "pool.jsonl"
     dump_exemplars(pool, path)
-    encoded = []
-    turn_encoder = core._turn_encoder
-
-    def spy():
-        encode = turn_encoder()
-        return lambda t: encoded.append(t) or encode(t)
-
     split, split_exemplar = [], core._split_exemplar
-    monkeypatch.setattr(core, "_turn_encoder", spy)
     monkeypatch.setattr(core, "_split_exemplar", lambda line: split.append(line) or split_exemplar(line))
     assert load_exemplars(path) == pool
-    # A stored history is checked on its first repeat, and none repeats.
-    assert encoded == []
     assert len(split) == core._PROBE_LINES
     assert loaded(path) == reference_load(path)
 
@@ -908,6 +898,20 @@ def test_each_corpus_line_kind_after_a_repeat_reads_as_json_loads(tmp_path, kind
     assert loaded(path, load_dialogues) == reference_load(path, load_dialogues)
 
 
+@pytest.mark.parametrize("dumped", [0, 1], ids=["first line", "after its run"])
+def test_a_corpus_line_whose_run_is_not_closed_is_malformed(tmp_path, bounds, dumped):
+    # Cut between its marker and its last two characters, the line's run
+    # text parses alone; only the "]}" end tells it from a whole record.
+    d = Dialogue("d-0", Topic.PRODUCT_SALE, bounds, (Turn(Speaker.BUYER, "hi"), Turn(Speaker.SELLER, "no")))
+    path = tmp_path / "corpus.jsonl"
+    dump_dialogues([replace(d, id=f"d-{i}") for i in range(dumped + 1)], path)
+    lines = written_lines(path)
+    path.write_text("\n".join(lines[:-1] + [lines[-1][:-2] + "}}"]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f":{dumped + 1}: malformed record"):
+        load_dialogues(path)
+    assert loaded(path, load_dialogues) == reference_load(path, load_dialogues)
+
+
 def test_corpus_run_table_is_bounded(tmp_path, monkeypatch, bounds):
     monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
     runs = [(Turn(Speaker.BUYER, f"offer {j}"),) for j in range(3)]
@@ -926,17 +930,35 @@ def test_an_all_distinct_corpus_stops_looking_after_its_first_lines(tmp_path, mo
               for i in range(3 * core._PROBE_LINES)]
     path = tmp_path / "corpus.jsonl"
     dump_dialogues(corpus, path)
-    encoded, split = [], []
-    turn_encoder, split_dialogue = core._turn_encoder, core._split_dialogue
-
-    def spy():
-        encode = turn_encoder()
-        return lambda t: encoded.append(t) or encode(t)
-
-    monkeypatch.setattr(core, "_turn_encoder", spy)
+    split, split_dialogue = [], core._split_dialogue
     monkeypatch.setattr(core, "_split_dialogue", lambda line: split.append(line) or split_dialogue(line))
     assert load_dialogues(path) == corpus
-    # No run repeats, so none is checked, and only the first lines are split.
-    assert encoded == []
+    # No run repeats, so only the first lines are split.
     assert len(split) == core._PROBE_LINES
     assert loaded(path, load_dialogues) == reference_load(path, load_dialogues)
+
+
+@pytest.mark.parametrize("load", [load_dialogues, load_exemplars], ids=["corpus", "pool"])
+def test_a_file_from_another_json_writer_shares_its_runs(tmp_path, monkeypatch, bounds, load):
+    # json.dumps's defaults write "€" as "\u20ac", which dump_dialogues and
+    # dump_exemplars do not; the parts of each line parse on their own all the
+    # same, so the file's repeated runs are shared and no turn is encoded.
+    runs = [(Turn(Speaker.BUYER, "Combien ? 20 €"), Turn(Speaker.SELLER, "Prix fixé", True, "C'est 30 €")),
+            (Turn(Speaker.BUYER, "Hi"), Turn(Speaker.SELLER, "Hello"))]
+    if load is load_dialogues:
+        records = [Dialogue(f"d-{i}", Topic.PRODUCT_SALE, bounds, runs[i % 2], NegotiationOutcome(True, 4000))
+                   for i in range(8)]
+        objs = map(dialogue_to_obj, records)
+    else:
+        records = [Exemplar(f"x-{i}", runs[i % 2], "v €", "r") for i in range(8)]
+        objs = (core._exemplar_obj(e, [core._turn_to_obj(t) for t in e.history]) for e in records)
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs), encoding="utf-8")
+    assert "\\u20ac" in path.read_text(encoding="utf-8")
+    encoders, turn_encoder = [], core._turn_encoder
+    monkeypatch.setattr(core, "_turn_encoder", lambda: encoders.append(1) or turn_encoder())
+    assert loaded(path, load) == reference_load(path, load)
+    got = load(path)
+    assert got == records
+    assert len({id(r.turns if load is load_dialogues else r.history) for r in got}) == 2
+    assert encoders == []

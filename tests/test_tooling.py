@@ -6,10 +6,10 @@ encoding, the CLI reports every exception class the package defines and
 nothing else, no module imports a private name of another, only core
 tests whether UTF-8 can encode a text, each marker a loader splits a
 record line at is one core constant that its writer and loader share,
-only prompts writes a ``speaker: text`` transcript line, only the
-bargaining transition writes a bargain state, no scripted line is rendered
-only to be thrown away, only retrieval loads numpy, and embed hashes
-through embed_many."""
+only the record writers encode turns, only prompts writes a ``speaker:
+text`` transcript line, only the bargaining transition writes a bargain
+state, no scripted line is rendered only to be thrown away, only retrieval
+loads numpy, and embed hashes through embed_many."""
 
 from __future__ import annotations
 
@@ -364,6 +364,42 @@ def test_each_record_marker_is_one_core_constant():
     for marker, (constant, writer, loader) in RECORD_MARKERS.items():
         assert getattr(core, constant) == marker
         assert constant in names[writer] and constant in names[loader]
+
+
+def _turn_encoder_users(source: str) -> set[str]:
+    """The top-level definitions that name ``_turn_encoder`` (as a name, an
+    attribute or a string), with ``<module>`` for module-level code."""
+    users = set()
+    for top in ast.parse(source).body:
+        if any(
+            (isinstance(n, ast.Name) and n.id == "_turn_encoder")
+            or (isinstance(n, ast.Attribute) and n.attr == "_turn_encoder")
+            or (isinstance(n, ast.Constant) and n.value == "_turn_encoder")
+            for n in ast.walk(top)
+        ):
+            users.add(getattr(top, "name", "<module>"))
+    return users
+
+
+def test_turn_encoder_user_detector():
+    assert _turn_encoder_users("def _turn_encoder():\n    return 1\n") == set()
+    assert _turn_encoder_users(
+        "def dump(x):\n    return _turn_encoder()(x)\n"
+        "class Reader:\n    def f(self):\n        return core._turn_encoder\n"
+        "check = getattr(core, '_turn_encoder')\n"
+    ) == {"dump", "Reader", "<module>"}
+    assert _turn_encoder_users("def load(x):\n    return _turn_decoder()(x)\n") == set()
+
+
+def test_only_the_record_writers_encode_turns():
+    # The loaders read a cut line's two parts as JSON, whatever wrote it; a
+    # loader that re-encoded turns to check a line would trust only one writer.
+    found = {
+        path.name: users
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (users := _turn_encoder_users(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"core.py": {"dump_dialogues", "dump_exemplars"}}
 
 
 def _speaker_value(node: ast.expr) -> bool:
