@@ -8,11 +8,13 @@ safe to share between workers.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 __all__ = [
     "Speaker",
@@ -408,9 +410,14 @@ def _outcome_fields(o: dict) -> tuple:
 _TURNS_HEAD = ', "turns": ['
 _HISTORY_HEAD = '{"history": ['
 _HISTORY_END = '], "id": '
+# dump_dialogues finds a record's id right after the first _ID_KEY in its
+# encoding: "id" is never a dialogue record's first key, since "bounds" sorts
+# before it, and an encoded string escapes every quote it holds.
+_ID_KEY = ', "id": '
 
-# The lines a file's loader reads without finding a repeated run before it
-# stops looking: remote files repeat none.
+# The lines a file's loader reads without finding a repeated run, or its
+# writer writes without finding a repeated head, before it stops looking:
+# remote files repeat none.
 _PROBE_LINES = 64
 
 Record = TypeVar("Record", Dialogue, Exemplar)
@@ -593,8 +600,89 @@ def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[str], Record]]
 
 
 def _dump_jsonl(lines: Iterable[str], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        f.writelines(lines)
+    """Write ``lines`` to ``path`` whole or not at all: they go to a new file
+    beside it, which replaces it only once the last line is written. A path
+    that exists but is not a regular file, such as ``/dev/null``, is written
+    in place, since replacing it would put a file where a device was."""
+    target = Path(path).resolve()  # through a symlink, as open() writes
+    if target.exists() and not target.is_file():
+        with target.open("w", encoding="utf-8") as f:
+            f.writelines(lines)
+        return
+    tmp = target.with_name(f"{target.name}.tmp{os.getpid()}-{threading.get_ident()}")
+    try:
+        f = tmp.open("w", encoding="utf-8")
+    except OSError as exc:  # name the path asked for, as open(path) would
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            f.writelines(lines)
+        os.replace(tmp, target)
+    finally:  # gone already once it replaced the target
+        tmp.unlink(missing_ok=True)
+
+
+def _id_spliced(
+    records: Iterable[Record], encode: Callable[[Record], str], at: str, key: Callable[[Record], Optional[tuple]]
+) -> Iterator[tuple[Record, str]]:
+    """Each record with ``encode(record)``, a text that holds the record's id
+    right after the first ``at``. Records whose ``key`` is equal share the
+    text around their id, cut from the first one's encoding, so that a
+    repeat only encodes its id, up to ``_INTERN_LIMIT`` keys. A record whose
+    id is not a string, or whose ``key`` is None since a field has not its
+    declared type, is encoded whole, and so is every record of a new key
+    once the table is full. Records after the first ``_PROBE_LINES``, when
+    those repeat no key, are encoded whole without looking."""
+    table: dict[tuple, tuple[str, str]] = {}
+    hit = False
+    records = iter(records)
+    for n, r in enumerate(records, 1):
+        k = key(r) if type(r.id) is str else None
+        cut = None if k is None else table.get(k)
+        if cut is not None:
+            hit = True
+            yield r, cut[0] + _encode_str(r.id) + cut[1]
+            continue
+        text = encode(r)
+        if k is not None and len(table) < _INTERN_LIMIT:
+            start = text.index(at) + len(at)
+            table[k] = text[:start], text[start + len(_encode_str(r.id)) :]
+        yield r, text
+        if n == _PROBE_LINES and not hit:
+            break
+    for r in records:
+        yield r, encode(r)
+
+
+def _dialogue_head_key(d: Dialogue) -> Optional[tuple]:
+    """What a dialogue's head holds apart from its id and turns, when each
+    field has exactly its declared type: 1, 1.0 and true are equal keys."""
+    b, o = d.bounds, d.outcome
+    key = topic, language, error, cost, seller, buyer = (
+        d.topic, d.language, d.error, b.cost_price, b.seller_init, b.buyer_init
+    )
+    if not (type(topic) is Topic and type(language) is str
+            and (error is None or type(error) is str) and type(cost) is type(seller) is type(buyer) is int):
+        return None
+    if o is None:
+        return key
+    deal, price, trust, business = o.deal, o.price, o.trust_delta, o.business_delta
+    if not (type(deal) is bool and (price is None or type(price) is int) and type(trust) is type(business) is int):
+        return None
+    return key + (deal, price, trust, business)
+
+
+def _exemplar_tail_key(e: Exemplar) -> Optional[tuple]:
+    """An exemplar's fields after its id, when each has exactly its declared
+    type; a float ``latent_quality`` is never keyed, since -0.0 and 0.0 are
+    equal keys."""
+    key = violation, remediation, rationale, quality = (
+        e.violation_text, e.remediation_text, e.rationale, e.latent_quality
+    )
+    if (type(violation) is type(remediation) is str
+            and (rationale is None or type(rationale) is str) and (quality is None or type(quality) is int)):
+        return key
+    return None
 
 
 def load_dialogues(path: str | Path) -> list[Dialogue]:
@@ -604,15 +692,12 @@ def load_dialogues(path: str | Path) -> list[Dialogue]:
 
 def dump_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
     """Write a corpus, one dialogue record per line, writing each distinct
-    turn's text once."""
+    turn's text once and each distinct head around its id once."""
     encode = _turn_encoder()
-
-    def line(d: Dialogue) -> str:
-        # "turns" is the record's last key: the encoding ends with the marker and "]}".
-        head = _ENCODER.encode(_dialogue_obj(d, []))[: -len(_TURNS_HEAD) - 2]
-        return head + _TURNS_HEAD + ", ".join(map(encode, d.turns)) + "]}\n"
-
-    _dump_jsonl(map(line, dialogues), path)
+    # "turns" is the record's last key: the encoding ends with the marker and "]}".
+    heads = _id_spliced(dialogues, lambda d: _ENCODER.encode(_dialogue_obj(d, []))[: -len(_TURNS_HEAD) - 2],
+                        _ID_KEY, _dialogue_head_key)
+    _dump_jsonl((head + _TURNS_HEAD + ", ".join(map(encode, d.turns)) + "]}\n" for d, head in heads), path)
 
 
 def load_exemplars(path: str | Path) -> list[Exemplar]:
@@ -622,13 +707,10 @@ def load_exemplars(path: str | Path) -> list[Exemplar]:
 
 def dump_exemplars(pool: Iterable[Exemplar], path: str | Path) -> None:
     """Write a pool, one exemplar record per line, writing each distinct
-    history turn's text once."""
+    history turn's text once and each distinct tail after the id once."""
     encode = _turn_encoder()
-
-    def line(e: Exemplar) -> str:
-        # "history" is the record's first key and "id" its second: the
-        # encoding starts with both markers.
-        tail = _ENCODER.encode(_exemplar_obj(e, []))[len(_HISTORY_HEAD) + len(_HISTORY_END):]
-        return _HISTORY_HEAD + ", ".join(map(encode, e.history)) + _HISTORY_END + tail + "\n"
-
-    _dump_jsonl(map(line, pool), path)
+    # "history" is the record's first key and "id" its second: the encoding
+    # starts with both markers.
+    tails = _id_spliced(pool, lambda e: _ENCODER.encode(_exemplar_obj(e, []))[len(_HISTORY_HEAD) :],
+                        _HISTORY_END, _exemplar_tail_key)
+    _dump_jsonl((_HISTORY_HEAD + ", ".join(map(encode, e.history)) + tail + "\n" for e, tail in tails), path)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import replace
 from unittest import mock
 
@@ -501,10 +503,16 @@ TEXTS = st.one_of(
 # Turn admits any text and violation value; these are the ones a loaded file
 # can hold that compare equal to one another as keys.
 TURN_TEXTS = st.one_of(TEXTS, st.sampled_from([1, 1.0, True]))
+# Head fields admit any number too; each of these draws values that are equal
+# as keys but written differently (1, 1.0 and true; 0, 0.0 and false).
+PRICES = st.one_of(st.integers(0, 10**6), st.sampled_from([1, 1.0, True]))
+BUYER_INITS = st.one_of(st.integers(0, 3000), st.sampled_from([0, 0.0, False]))
+# -0.0 and 0.0 are equal keys too, and a loaded file can hold both.
+QUALITIES = st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 0.25, 1])
 
 
 @st.composite
-def dialogues_and_pools(draw, texts=TURN_TEXTS, flags=(False, True, 1)):
+def dialogues_and_pools(draw, texts=TURN_TEXTS, flags=(False, True, 1), prices=PRICES, buyer_inits=BUYER_INITS):
     def run(n, flag_last=False):
         turns = []
         for i in range(n):
@@ -515,27 +523,42 @@ def dialogues_and_pools(draw, texts=TURN_TEXTS, flags=(False, True, 1)):
         return tuple(turns)
 
     optional = lambda strategy: draw(st.one_of(st.none(), strategy))  # noqa: E731
+    # A record may repeat an earlier one's head (or tail) under another id,
+    # with the same fields or with one swapped for a value equal to it as a key.
     dialogues = []
-    for i in range(draw(st.integers(0, 4))):
+    for i in range(draw(st.integers(0, 6))):
+        if dialogues and draw(st.booleans()):
+            d = replace(draw(st.sampled_from(dialogues)), id=f"d-{i}", turns=run(draw(st.integers(0, 5))))
+            if d.outcome is not None and d.outcome.deal and draw(st.booleans()):
+                d = replace(d, outcome=replace(d.outcome, price=draw(prices)))
+            if draw(st.booleans()):
+                d = replace(d, bounds=replace(d.bounds, buyer_init=draw(buyer_inits)))
+            dialogues.append(d)
+            continue
         deal = draw(st.booleans())
         outcome = optional(st.builds(
-            NegotiationOutcome, st.just(deal), st.integers(0, 10**6) if deal else st.none(),
+            NegotiationOutcome, st.just(deal), prices if deal else st.none(),
             st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
         ))
         dialogues.append(Dialogue(
             id=f"d-{i}-{draw(TEXTS)}", topic=Topic.PRODUCT_SALE,
-            bounds=PriceBounds(cost_price=3500, seller_init=5000, buyer_init=draw(st.integers(0, 3000))),
+            bounds=PriceBounds(cost_price=3500, seller_init=5000, buyer_init=draw(buyer_inits)),
             turns=run(draw(st.integers(0, 5))), outcome=outcome, language=draw(TEXTS),
             error=optional(TEXTS),
         ))
-    pool = [
-        Exemplar(
+    pool = []
+    for i in range(draw(st.integers(0, 6))):
+        if pool and draw(st.booleans()):
+            e = replace(draw(st.sampled_from(pool)), id=f"x-{i}", history=run(draw(st.integers(0, 5))))
+            if draw(st.booleans()):
+                e = replace(e, latent_quality=draw(QUALITIES))
+            pool.append(e)
+            continue
+        pool.append(Exemplar(
             id=f"x-{i}", history=run(draw(st.integers(0, 5))),
             violation_text=draw(TEXTS), remediation_text=draw(TEXTS), rationale=optional(TEXTS),
-            latent_quality=optional(st.sampled_from([-0.0, 1e-300, 1e16, 0.25, 1])),
-        )
-        for i in range(draw(st.integers(0, 4)))
-    ]
+            latent_quality=optional(QUALITIES),
+        ))
     return dialogues, pool
 
 
@@ -543,7 +566,7 @@ def written_lines(path):
     return path.read_bytes().decode("utf-8").split("\n")[:-1]
 
 
-@given(dialogues_and_pools(), dialogues_and_pools(TEXTS, (False, True)))
+@given(dialogues_and_pools(), dialogues_and_pools(TEXTS, (False, True), st.integers(0, 10**6), st.integers(0, 3000)))
 @example(([], []), ([], []))
 def test_writer_matches_json_dumps_and_round_trips(tmp_path_factory, records, declared):
     # The writer is checked on any Turn; only turns of the declared types
@@ -598,6 +621,142 @@ def test_turn_encoder_keys_only_declared_types():
     turns = [Turn(Speaker.SELLER, text, violation) for text in ("1", 1, 1.0, True) for violation in (True, 1)]
     for t in turns + turns:
         assert encode(t) == json.dumps(core._turn_to_obj(t), ensure_ascii=False, sort_keys=True)
+
+
+def spliced_encodes(records, encode, at, key):
+    """The ids of the records that ``_id_spliced`` encodes whole, and its texts."""
+    encoded = []
+
+    def spy(r):
+        encoded.append(r.id)
+        return encode(r)
+
+    return encoded, [text for _, text in core._id_spliced(records, spy, at, key)]
+
+
+def heads_and_tails(n, repeats):
+    """``repeats`` rounds of ``n`` distinct dialogue heads and exemplar tails,
+    each record under its own id."""
+    bounds = PriceBounds(cost_price=3500, seller_init=5000, buyer_init=3000)
+    dialogues = [
+        make_dialogue([], bounds, did=f"d{r}-{i}").with_outcome(NegotiationOutcome(deal=True, price=4000 + i))
+        for r in range(repeats) for i in range(n)
+    ]
+    pool = [Exemplar(f"x{r}-{i}", (), f"v{i}", "r") for r in range(repeats) for i in range(n)]
+    return dialogues, pool
+
+
+def dialogue_head(d):
+    return json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True)[: -len(core._TURNS_HEAD) - 2]
+
+
+def exemplar_tail(e):
+    return json.dumps(core._exemplar_obj(e, []), ensure_ascii=False, sort_keys=True)[len(core._HISTORY_HEAD) :]
+
+
+WRITERS = [
+    (0, dialogue_head, core._ID_KEY, core._dialogue_head_key),
+    (1, exemplar_tail, core._HISTORY_END, core._exemplar_tail_key),
+]
+
+
+@pytest.mark.parametrize("kind, encode, at, key", WRITERS, ids=["dialogue heads", "exemplar tails"])
+def test_spliced_record_tables_are_bounded(monkeypatch, tmp_path, kind, encode, at, key):
+    # With room for two keys, only the first two are cut; the other three are
+    # encoded whole each time, and every line is still exact.
+    monkeypatch.setattr(core, "_INTERN_LIMIT", 2)
+    records = heads_and_tails(5, 2)[kind]
+    encoded, texts = spliced_encodes(records, encode, at, key)
+    assert encoded == [r.id for r in records[:5] + records[7:]]
+    assert texts == [encode(r) for r in records]
+    dialogues, pool = heads_and_tails(5, 2)
+    dump_dialogues(dialogues, tmp_path / "corpus.jsonl")
+    dump_exemplars(pool, tmp_path / "pool.jsonl")
+    assert written_lines(tmp_path / "corpus.jsonl") == [
+        json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True) for d in dialogues
+    ]
+    assert written_lines(tmp_path / "pool.jsonl") == [
+        json.dumps(core._exemplar_obj(e, []), ensure_ascii=False, sort_keys=True) for e in pool
+    ]
+
+
+@pytest.mark.parametrize("kind, encode, at, key", WRITERS, ids=["dialogue heads", "exemplar tails"])
+def test_spliced_records_stop_looking_after_a_probe_without_repeats(kind, encode, at, key):
+    keyed = []
+
+    def spy(r):
+        keyed.append(r.id)
+        return key(r)
+
+    records = heads_and_tails(core._PROBE_LINES, 2)[kind]
+    encoded, texts = spliced_encodes(records, encode, at, spy)
+    assert keyed == encoded[: core._PROBE_LINES] == [r.id for r in records[: core._PROBE_LINES]]
+    assert encoded == [r.id for r in records] and texts == [encode(r) for r in records]
+    # One repeat among the first lines keeps the table for the whole file.
+    records = records[:1] + records
+    keyed.clear()
+    encoded, texts = spliced_encodes(records, encode, at, spy)
+    assert keyed == [r.id for r in records] and texts == [encode(r) for r in records]
+    assert encoded == [r.id for r in records[1 : core._PROBE_LINES + 1]]
+
+
+def test_spliced_records_key_only_declared_types():
+    # Equal keys of other types are written as themselves, and so is an id
+    # that is not a string.
+    bounds = PriceBounds(cost_price=3500, seller_init=5000, buyer_init=0)
+    dialogues = [
+        replace(make_dialogue([], replace(bounds, buyer_init=b), did=f"d-{b!r}-{p!r}"),
+                outcome=NegotiationOutcome(deal=True, price=p))
+        for b in (0, 0.0, False) for p in (1, 1.0, True)
+    ]
+    dialogues += [replace(dialogues[0], id=7)]
+    pool = [Exemplar(f"x-{q!r}", (), "v", "r", latent_quality=q) for q in (0, 0.0, -0.0, False, 0, -0.0)]
+    pool += [replace(pool[0], id=7)]
+    for records, encode, at, key in ((dialogues, dialogue_head, core._ID_KEY, core._dialogue_head_key),
+                                     (pool, exemplar_tail, core._HISTORY_END, core._exemplar_tail_key)):
+        assert spliced_encodes(records, encode, at, key)[1] == [encode(r) for r in records]
+
+
+@pytest.mark.parametrize("dump", [dump_dialogues, dump_exemplars])
+def test_a_failed_dump_leaves_the_old_file(tmp_path, bounds, dump):
+    d = make_dialogue([Turn(Speaker.BUYER, "hi")], bounds)
+    records = [d, replace(d, id=SURROGATE)] if dump is dump_dialogues else [
+        Exemplar("x", d.turns, "v", "r"), Exemplar(SURROGATE, d.turns, "v", "r")
+    ]
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        dump(records, path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_a_dump_into_a_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "no" / "corpus.jsonl"
+    with pytest.raises(FileNotFoundError) as info:
+        dump_dialogues([], path)
+    assert info.value.filename == str(path)
+
+
+def test_a_dump_writes_through_a_symlink_and_into_a_fifo(tmp_path, bounds):
+    d = make_dialogue([Turn(Speaker.BUYER, "hi")], bounds)
+    line = json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True) + "\n"
+    (tmp_path / "real.jsonl").write_text("old\n", encoding="utf-8")
+    (tmp_path / "link.jsonl").symlink_to("real.jsonl")
+    dump_dialogues([d], tmp_path / "link.jsonl")
+    assert (tmp_path / "link.jsonl").is_symlink()
+    assert (tmp_path / "real.jsonl").read_text(encoding="utf-8") == line
+    # A pipe is written in place, not replaced by a file (as /dev/null must be).
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        dump_dialogues([d], fifo)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.read(reader, 1 << 16) == line.encode("utf-8")
+    finally:
+        os.close(reader)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.jsonl", "real.jsonl"]
 
 
 def test_every_dumped_pool_line_opens_with_the_history_head(tmp_path):

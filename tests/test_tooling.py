@@ -310,12 +310,14 @@ def test_only_core_tests_utf8_encodability():
     assert set(found) == {"core.py"}
 
 
-# The markers the loaders split a dumped record line at, each with the core
-# constant that names it and the writer and loader that go through it.
+# The markers the writers cut or splice a record line at, each with the core
+# constant that names it, the writer that goes through it and the loader that
+# splits a line at it, if one does.
 RECORD_MARKERS = {
     '{"history": [': ("_HISTORY_HEAD", "dump_exemplars", "_split_exemplar"),
     '], "id": ': ("_HISTORY_END", "dump_exemplars", "_split_exemplar"),
     ', "turns": [': ("_TURNS_HEAD", "dump_dialogues", "_split_dialogue"),
+    ', "id": ': ("_ID_KEY", "dump_dialogues", None),
 }
 
 
@@ -343,6 +345,9 @@ def test_record_marker_detector():
         """_HISTORY_HEAD = _TURNS_HEAD = '{"history": ['\n"""
     ) == [1, 2, 3, 4]
     assert _marker_literals("""x = '"turns": ['\ny = '], "id":'\n""") == []
+    # _HISTORY_END holds _ID_KEY's text: each constant may hold its own.
+    assert _marker_literals("""_HISTORY_END = '], "id": '\n_ID_KEY = ', "id": '\n""") == []
+    assert _marker_literals("""x = ', "id": '\n_ID_KEY = '], "id": '\n_HISTORY_END = ', "id": '\n""") == [1, 2, 3]
 
 
 def test_each_record_marker_is_one_core_constant():
@@ -363,7 +368,7 @@ def test_each_record_marker_is_one_core_constant():
     }
     for marker, (constant, writer, loader) in RECORD_MARKERS.items():
         assert getattr(core, constant) == marker
-        assert constant in names[writer] and constant in names[loader]
+        assert constant in names[writer] and (loader is None or constant in names[loader])
 
 
 def _turn_encoder_users(source: str) -> set[str]:
