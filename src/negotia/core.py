@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 import threading
 from dataclasses import dataclass, replace
@@ -601,9 +602,11 @@ def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[str], Record]]
 
 def _dump_jsonl(lines: Iterable[str], path: str | Path) -> None:
     """Write ``lines`` to ``path`` whole or not at all: they go to a new file
-    beside it, which replaces it only once the last line is written. A path
-    that exists but is not a regular file, such as ``/dev/null``, is written
-    in place, since replacing it would put a file where a device was."""
+    beside it, which replaces it only once the last line is written and takes
+    the mode of the file it replaces. It is not synced to disk, so this holds
+    for a write that fails, not for a crash. A path that exists but is not a
+    regular file, such as ``/dev/null``, is written in place, since replacing
+    it would put a file where a device was."""
     target = Path(path).resolve()  # through a symlink, as open() writes
     if target.exists() and not target.is_file():
         with target.open("w", encoding="utf-8") as f:
@@ -616,6 +619,8 @@ def _dump_jsonl(lines: Iterable[str], path: str | Path) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with f:
+            if target.exists():
+                shutil.copymode(target, tmp)
             f.writelines(lines)
         os.replace(tmp, target)
     finally:  # gone already once it replaced the target
@@ -631,16 +636,12 @@ def _id_spliced(
     repeat only encodes its id, up to ``_INTERN_LIMIT`` keys. A record whose
     id is not a string, or whose ``key`` is None since a field has not its
     declared type, is encoded whole, and so is every record of a new key
-    once the table is full. Records after the first ``_PROBE_LINES``, when
-    those repeat no key, are encoded whole without looking."""
+    once the table is full."""
     table: dict[tuple, tuple[str, str]] = {}
-    hit = False
-    records = iter(records)
-    for n, r in enumerate(records, 1):
+    for r in records:
         k = key(r) if type(r.id) is str else None
         cut = None if k is None else table.get(k)
         if cut is not None:
-            hit = True
             yield r, cut[0] + _encode_str(r.id) + cut[1]
             continue
         text = encode(r)
@@ -648,10 +649,6 @@ def _id_spliced(
             start = text.index(at) + len(at)
             table[k] = text[:start], text[start + len(_encode_str(r.id)) :]
         yield r, text
-        if n == _PROBE_LINES and not hit:
-            break
-    for r in records:
-        yield r, encode(r)
 
 
 def _dialogue_head_key(d: Dialogue) -> Optional[tuple]:

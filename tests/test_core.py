@@ -680,26 +680,6 @@ def test_spliced_record_tables_are_bounded(monkeypatch, tmp_path, kind, encode, 
     ]
 
 
-@pytest.mark.parametrize("kind, encode, at, key", WRITERS, ids=["dialogue heads", "exemplar tails"])
-def test_spliced_records_stop_looking_after_a_probe_without_repeats(kind, encode, at, key):
-    keyed = []
-
-    def spy(r):
-        keyed.append(r.id)
-        return key(r)
-
-    records = heads_and_tails(core._PROBE_LINES, 2)[kind]
-    encoded, texts = spliced_encodes(records, encode, at, spy)
-    assert keyed == encoded[: core._PROBE_LINES] == [r.id for r in records[: core._PROBE_LINES]]
-    assert encoded == [r.id for r in records] and texts == [encode(r) for r in records]
-    # One repeat among the first lines keeps the table for the whole file.
-    records = records[:1] + records
-    keyed.clear()
-    encoded, texts = spliced_encodes(records, encode, at, spy)
-    assert keyed == [r.id for r in records] and texts == [encode(r) for r in records]
-    assert encoded == [r.id for r in records[1 : core._PROBE_LINES + 1]]
-
-
 def test_spliced_records_key_only_declared_types():
     # Equal keys of other types are written as themselves, and so is an id
     # that is not a string.
@@ -729,6 +709,16 @@ def test_a_failed_dump_leaves_the_old_file(tmp_path, bounds, dump):
         dump(records, path)
     assert path.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_a_dump_keeps_the_mode_of_the_file_it_replaces(tmp_path, bounds):
+    d = make_dialogue([Turn(Speaker.BUYER, "hi")], bounds)
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old bytes\n")
+    path.chmod(0o600)
+    dump_dialogues([d], path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert written_lines(path) == [json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True)]
 
 
 def test_a_dump_into_a_missing_directory_names_the_path(tmp_path):
