@@ -715,9 +715,10 @@ def test_a_dump_keeps_the_mode_of_the_file_it_replaces(tmp_path, bounds):
     d = make_dialogue([Turn(Speaker.BUYER, "hi")], bounds)
     path = tmp_path / "out.jsonl"
     path.write_bytes(b"old bytes\n")
-    path.chmod(0o600)
-    dump_dialogues([d], path)
-    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    for mode in (0o600, 0o640):  # a new file gets 0644 under a 022 umask, 0600 under 077
+        path.chmod(mode)
+        dump_dialogues([d], path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
     assert written_lines(path) == [json.dumps(dialogue_to_obj(d), ensure_ascii=False, sort_keys=True)]
 
 
