@@ -416,9 +416,13 @@ _HISTORY_END = '], "id": '
 # before it, and an encoded string escapes every quote it holds.
 _ID_KEY = ', "id": '
 
-# The lines a file's loader reads without finding a repeated run, or its
-# writer writes without finding a repeated head, before it stops looking:
-# remote files repeat none.
+# The lines a file's loader reads without finding a repeated run before it
+# stops looking. Where runs do not repeat past the openers, each look costs a
+# split, a second parse and a stored run for nothing: with every turn after
+# the openers made distinct, the benchmark's seed-1 corpus loaded in 116-117
+# ms with the stop against 134-137 ms without it, and its pool in 117-118
+# against 134-137 ms (best of 15, 2-core VM), the corpus with a traced peak of
+# 9.3 against 10.8 MB.
 _PROBE_LINES = 64
 
 Record = TypeVar("Record", Dialogue, Exemplar)

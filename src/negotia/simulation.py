@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from .backends import (
     BackendError,
@@ -90,11 +90,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ViolationPoint:
-    """Prefix and first violating utterance of a rollout, pre-remediation."""
+    """Prefix and first violating utterance of a rollout, pre-remediation,
+    with the scripted bargain at that head: bid, ask, goodwill and pending
+    ask, just before the violating seller move."""
 
     prefix: tuple[Turn, ...]
     violation_text: str
     seed: int
+    head: tuple[float, float, float, float]
 
 
 def _opening_turns(bounds: PriceBounds) -> list[Turn]:
@@ -318,16 +321,22 @@ def rollout_to_first_violation(
     world: ScriptedWorld,
     config: SimulationConfig,
 ) -> Optional[ViolationPoint]:
-    """Read the first violation point off an unremediated scripted rollout.
+    """Run an unremediated scripted rollout up to its first coin head.
 
-    Returns the turns before its first violation turn and that turn's raw
-    text, or None when the dialogue ends without a violation.
+    Returns the turns before that head, the raw violating text and the
+    bargain as it stands there, or None when the dialogue ends without a
+    violation.
     """
-    turns = _rollout(_ScriptedLane(world), config, None)
-    for i, turn in enumerate(turns):
-        if turn.violation:
-            return ViolationPoint(prefix=tuple(turns[:i]), violation_text=turn.text, seed=config.seed)
-    return None
+    lane = _ScriptedLane(world)
+    found: list[ViolationPoint] = []
+
+    def stop(prefix: tuple[Turn, ...], text: str) -> NoReturn:
+        s = lane.state
+        found.append(ViolationPoint(prefix, text, config.seed, (s.bid, s.ask, s.goodwill, s.pending_ask)))
+        raise _Halt
+
+    _rollout(lane, replace(config, remediation_enabled=True), stop)
+    return found[0] if found else None
 
 
 def continue_rollout(
@@ -335,60 +344,29 @@ def continue_rollout(
     config: SimulationConfig,
     point: ViolationPoint,
     remediation: str,
-    heads: Optional[dict[int, tuple[BargainState, int]]] = None,
 ) -> NegotiationOutcome:
     """Complete a scripted rollout from a violation point with the given
     remediation and return its outcome.
 
-    Replays ``_rollout``'s turn cap and coin rule from the point's seed over
-    ``bargain_move`` alone, with no turn or text built. The first head lands
-    the rewrite; after it no seller turn draws a coin, so later heads are
-    suppressed (the single-point rule). Every remediation candidate replays
-    the same seed, so paired differences isolate the rewrite.
-
-    Everything before the first head is the same for every candidate, so
-    ``heads`` keeps it per seed: the state just before the first head's
-    seller move and its turn count, or the final state when no head comes.
-    A dict serves one world and one config. The stored state is never
-    changed; each rewrite lands on a copy.
+    The rewrite lands on the bargain the point recorded at its head; the
+    bargain then moves on under ``_rollout``'s turn cap over ``bargain_move``
+    alone, with no turn or text built. No later seller turn draws a coin, so
+    later heads are suppressed (the single-point rule), and every rewrite
+    scored on one point starts from the same state, which isolates it. The
+    point must come from ``rollout_to_first_violation`` under the same world
+    and config.
     """
     if not remediation:
         raise ValueError("remediation text must be non-empty")
-    if heads is None:
-        heads = {}
-    if point.seed not in heads:
-        heads[point.seed] = _rounds(world, config, BargainState.initial(world), 2, random.Random(point.seed))
-    state, n = heads[point.seed]
-    if n < config.max_turns and not state.terminal:  # stopped at the first head
-        # The rewrite lands on a copy. An open bargain with no violation yet
-        # holds nothing but these numbers.
-        state = BargainState(bid=state.bid, ask=state.ask, goodwill=state.goodwill, pending_ask=state.pending_ask)
-        bargain_move(world, state, "seller", True, remediation_quality(remediation))
-        state, n = _rounds(world, config, state, n + 1)
+    # An open bargain with no violation yet holds nothing but these numbers.
+    bid, ask, goodwill, pending_ask = point.head
+    state = BargainState(bid=bid, ask=ask, goodwill=goodwill, pending_ask=pending_ask)
+    bargain_move(world, state, "seller", True, remediation_quality(remediation))
+    n = len(point.prefix) + 1
+    while n < config.max_turns and not state.terminal:  # the buyer speaks at even counts, as in _rollout
+        bargain_move(world, state, "buyer" if n % 2 == 0 else "seller")
+        n += 1
     return scripted_outcome(world, state)
-
-
-def _rounds(
-    world: ScriptedWorld,
-    config: SimulationConfig,
-    state: BargainState,
-    n: int,
-    rng: Optional[random.Random] = None,
-) -> tuple[BargainState, int]:
-    """Move the bargain on from turn ``n`` under the turn cap and return it
-    with its turn count. With ``rng`` every seller move draws the coin, and
-    the first head stops the rounds just before its seller move; without
-    one, seller moves draw nothing and never violate."""
-    while n < config.max_turns and not state.terminal:
-        bargain_move(world, state, "buyer")
-        n += 1
-        if n >= config.max_turns:  # a buyer move never ends the bargain
-            break
-        if rng is not None and rng.random() < config.p_c:
-            break
-        bargain_move(world, state, "seller")
-        n += 1
-    return state, n
 
 
 def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20) -> Dialogue:

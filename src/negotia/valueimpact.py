@@ -3,8 +3,9 @@ exemplar filtering.
 
 The value of a candidate rewrite is the paired difference in final-dialogue
 reward between its rollout and the silver (zero-shot) rewrite's rollout; both
-completions are sampled once and share the same continuation seed, so the
-difference isolates the rewrite and the identity case is exactly zero.
+completions are sampled once and continue from the same bargain recorded at
+the violation point, so the difference isolates the rewrite and the identity
+case is exactly zero.
 """
 
 from __future__ import annotations
@@ -67,12 +68,8 @@ class ValueEstimate:
 
 
 def make_scripted_rollout_fn(world: ScriptedWorld, config: SimulationConfig) -> RolloutFn:
-    # Each probe seed's replay up to its first head runs once, for the first
-    # rewrite scored there; every later one starts from that head.
-    heads: dict = {}
-
     def run(point: ViolationPoint, rewrite: str) -> float:
-        return reward(continue_rollout(world, config, point, rewrite, heads), world.bounds)
+        return reward(continue_rollout(world, config, point, rewrite), world.bounds)
 
     return run
 
@@ -110,6 +107,7 @@ def build_probe_set(
                 prefix=point.prefix,
                 violation_text=point.violation_text,
                 seed=point.seed,
+                head=point.head,
                 silver_y=silver_y,
                 silver_reward=rollout_fn(point, silver_y),
             )
@@ -120,7 +118,7 @@ def build_probe_set(
 def value_of_remediation(
     point: RemediationPoint, y_prime: str, rollout_fn: RolloutFn
 ) -> float:
-    """Paired-seed reward difference of a candidate rewrite vs the silver one."""
+    """Paired reward difference of a candidate rewrite vs the silver one."""
     return rollout_fn(point, y_prime) - point.silver_reward
 
 

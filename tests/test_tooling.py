@@ -8,8 +8,9 @@ tests whether UTF-8 can encode a text, each marker a loader splits a
 record line at is one core constant that its writer and loader share,
 only the record writers encode turns, only prompts writes a ``speaker:
 text`` transcript line, only the bargaining transition writes a bargain
-state, no scripted line is rendered only to be thrown away, only retrieval
-loads numpy, and embed hashes through embed_many."""
+state, only the rollout loop draws the violation coin, no scripted line is
+rendered only to be thrown away, only retrieval loads numpy, and embed
+hashes through embed_many."""
 
 from __future__ import annotations
 
@@ -531,6 +532,51 @@ def test_only_the_transition_writes_bargain_state():
     }
     assert ("backends.py", "bargain_move") in writers
     assert writers <= {("backends.py", "bargain_move"), ("backends.py", "BargainState.initial")}
+
+
+def _coin_draws(source: str) -> set[str]:
+    """The top-level definitions that compare a ``.random()`` call with a
+    ``.p_c`` attribute, with ``<module>`` for module-level code."""
+
+    def is_draw(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "random"
+
+    def is_p_c(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "p_c"
+
+    users = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(is_draw, sides)) and any(map(is_p_c, sides)):
+                    users.add(getattr(top, "name", "<module>"))
+    return users
+
+
+def test_coin_draw_detector():
+    assert _coin_draws(
+        "def a(c):\n    return rng.random() < c.p_c\n"
+        "class B:\n    def f(self):\n        return self.config.p_c >= random.random()\n"
+        "x = 0 < r.random() < cfg.p_c\n"
+    ) == {"a", "B", "<module>"}
+    assert _coin_draws(
+        "def a(c):\n    return rng.random() < 0.4\n"
+        "def b(c):\n    return c.p_c < 1.0\n"
+        "def d(c):\n    return random() < c.p_c\n"
+        "def e(c):\n    x = rng.random()\n    return x < c.p_c\n"
+    ) == set()
+
+
+def test_only_the_rollout_loop_draws_the_coin():
+    # A violation point continues from the bargain recorded at its head; a
+    # second copy of the coin rule could drift from the loop that places it.
+    found = {
+        path.name: users
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (users := _coin_draws(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"simulation.py": {"_rollout"}}
 
 
 def _discarded_scripted_steps(source: str) -> list[int]:

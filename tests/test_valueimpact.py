@@ -10,11 +10,11 @@ from types import SimpleNamespace
 import pytest
 from conftest import make_exemplar
 
-from negotia import cli, simulation
+from negotia import cli, simulation, valueimpact
 from negotia.backends import remediation_quality, scripted_remediation_text
 from negotia.core import dump_exemplars
 from negotia.remediate import SILVER_SCRIPTED_QUALITY, RemediationPolicy
-from negotia.simulation import SimulationConfig
+from negotia.simulation import SimulationConfig, continue_rollout, rollout_to_first_violation
 from negotia.valueimpact import (
     build_probe_set,
     estimate_value_impact,
@@ -141,18 +141,28 @@ def test_rank_individuals_sampling_is_seeded(quality_pool, impact_fn):
         rank_individuals([], 1, impact_fn)
 
 
-def test_filter_replays_each_probe_seed_to_its_first_head_once(tmp_path, monkeypatch):
-    # Every rewrite scored at a probe point replays the point's seed, so the
-    # replay up to its first head, with the generator it draws from, is
-    # built once per point, not once per rollout.
-    built = []
+def test_only_probe_attempts_draw_coins(tmp_path, monkeypatch):
+    # A rewrite is scored from the bargain its point recorded, so no value
+    # rollout builds a coin generator: only each probe attempt's rollout to
+    # its first head does, from that attempt's seed.
+    built, attempts = [], []
 
     class CountingRandom(random.Random):
         def __init__(self, seed):
-            built.append((sys._getframe(1).f_code.co_name, seed))
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in ("continue_rollout", "rollout_to_first_violation"):
+                frame = frame.f_back
+            built.append((frame and frame.f_code.co_name, seed))
             super().__init__(seed)
 
+    def counted(world, config):
+        attempts.append(config.seed)
+        return rollout_to_first_violation(world, config)
+
     monkeypatch.setattr(simulation, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(valueimpact, "rollout_to_first_violation", counted)
+    continued = []
+    monkeypatch.setattr(valueimpact, "continue_rollout", lambda *a: continued.append(a) or continue_rollout(*a))
     sample, probe = 5, 3
     pool = tmp_path / "pool.jsonl"
     dump_exemplars([make_exemplar(f"ex-{i}", i / sample) for i in range(sample)], pool)
@@ -160,5 +170,6 @@ def test_filter_replays_each_probe_seed_to_its_first_head_once(tmp_path, monkeyp
         "filter", "--pool", str(pool), "--sample", str(sample), "--probe-size", str(probe),
         "--out", str(tmp_path / "ranked.json"),
     ]) == 0
-    seeds = [seed for caller, seed in built if caller == "continue_rollout"]
-    assert len(seeds) == len(set(seeds)) == probe
+    assert len(continued) == probe * (sample + 1)
+    assert len(attempts) >= probe
+    assert built == [("rollout_to_first_violation", seed) for seed in attempts]
