@@ -33,6 +33,7 @@ from .core import (
     load_dialogues,
     load_exemplars,
     turns_from_objs,
+    write_whole,
 )
 from .outcome import evaluate_corpus
 from .prompts import TemplateError, TemplateStore, render_conversation
@@ -76,13 +77,12 @@ def _write_manifest(args: argparse.Namespace, started: float, written: Written) 
     }
     manifest_path = Path(str(written.outputs[0]) + ".manifest.json")
     # The one setting that is not JSON already is the ScriptedWorld.
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=asdict), encoding="utf-8")
+    write_whole([json.dumps(manifest, indent=2, sort_keys=True, default=asdict)], manifest_path)
 
 
 def _write_json(path: str, obj) -> Path:
-    out = Path(path)
-    out.write_text(json.dumps(obj, indent=2), encoding="utf-8")
-    return out
+    write_whole([json.dumps(obj, indent=2)], path)
+    return Path(path)
 
 
 def _read_json(path: str):
@@ -424,7 +424,7 @@ def _cmd_interactive(args: argparse.Namespace) -> Written:
 
     out = Path(args.out)
     record = {**dialogue_to_obj(d), "interactive_choices": choices}
-    out.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8")
+    write_whole([json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"], out)
     return Written([out], {"turns": len(d.turns), "flags": flags, "accepted": accepted})
 
 

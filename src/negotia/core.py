@@ -35,6 +35,7 @@ __all__ = [
     "dump_dialogues",
     "load_exemplars",
     "dump_exemplars",
+    "write_whole",
     "format_money",
 ]
 
@@ -604,7 +605,7 @@ def _load_jsonl(path: str | Path, decoder: Callable[[], Callable[[str], Record]]
     return records
 
 
-def _dump_jsonl(lines: Iterable[str], path: str | Path) -> None:
+def write_whole(lines: Iterable[str], path: str | Path) -> None:
     """Write ``lines`` to ``path`` whole or not at all: they go to a new file
     beside it, which replaces it only once the last line is written and takes
     the mode of the file it replaces. It is not synced to disk, so this holds
@@ -698,7 +699,7 @@ def dump_dialogues(dialogues: Iterable[Dialogue], path: str | Path) -> None:
     # "turns" is the record's last key: the encoding ends with the marker and "]}".
     heads = _id_spliced(dialogues, lambda d: _ENCODER.encode(_dialogue_obj(d, []))[: -len(_TURNS_HEAD) - 2],
                         _ID_KEY, _dialogue_head_key)
-    _dump_jsonl((head + _TURNS_HEAD + ", ".join(map(encode, d.turns)) + "]}\n" for d, head in heads), path)
+    write_whole((head + _TURNS_HEAD + ", ".join(map(encode, d.turns)) + "]}\n" for d, head in heads), path)
 
 
 def load_exemplars(path: str | Path) -> list[Exemplar]:
@@ -714,4 +715,4 @@ def dump_exemplars(pool: Iterable[Exemplar], path: str | Path) -> None:
     # starts with both markers.
     tails = _id_spliced(pool, lambda e: _ENCODER.encode(_exemplar_obj(e, []))[len(_HISTORY_HEAD) :],
                         _HISTORY_END, _exemplar_tail_key)
-    _dump_jsonl((_HISTORY_HEAD + ", ".join(map(encode, e.history)) + tail + "\n" for e, tail in tails), path)
+    write_whole((_HISTORY_HEAD + ", ".join(map(encode, e.history)) + tail + "\n" for e, tail in tails), path)

@@ -100,13 +100,6 @@ class ViolationPoint:
     head: tuple[float, float, float, float]
 
 
-def _opening_turns(bounds: PriceBounds) -> list[Turn]:
-    return [
-        Turn(speaker=_BUYER, text=BUYER_OPENER),
-        Turn(speaker=_SELLER, text=seller_opener(bounds)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Lanes: who speaks and who decides the end
 
@@ -123,13 +116,13 @@ class _ScriptedLane:
         self.bounds = world.bounds
         self.state = BargainState.initial(world)
 
-    def buyer(self, turns: list[Turn]) -> str:
-        return scripted_step(self.world, self.state, "buyer")
+    def buyer(self, turns: list[Turn]) -> Turn:
+        return Turn(speaker=_BUYER, text=scripted_step(self.world, self.state, "buyer"))
 
-    def seller(self, turns: list[Turn], violate: bool) -> Optional[str]:
+    def seller(self, turns: list[Turn], violate: bool) -> Turn:
         if violate:  # the state is charged by violated() once the rewrite is known
-            return scripted_violation_text(self.state.pending_ask)
-        return scripted_step(self.world, self.state, "seller")
+            return Turn(speaker=_SELLER, text=scripted_violation_text(self.state.pending_ask), violation=True)
+        return Turn(speaker=_SELLER, text=scripted_step(self.world, self.state, "seller"))
 
     def violated(self, rewrite: Optional[str]) -> None:
         quality = None if rewrite is None else remediation_quality(rewrite)
@@ -142,6 +135,34 @@ class _ScriptedLane:
         # A bargain still open at the turn cap, or left by a player, ends without a deal.
         outcome = scripted_outcome(self.world, self.state)
         return Dialogue(id=dialogue_id, topic=_TOPIC, bounds=self.bounds, turns=tuple(turns), outcome=outcome)
+
+
+class _PlayerLane(_ScriptedLane):
+    """The scripted lane with ``role``'s turns taken from ``speak``."""
+
+    def __init__(self, world: ScriptedWorld, role: Speaker, speak: Speak):
+        super().__init__(world)
+        self.role, self.speak = role, speak
+
+    def buyer(self, turns: list[Turn]) -> Turn:
+        return self._play(turns) if self.role is _BUYER else super().buyer(turns)
+
+    def seller(self, turns: list[Turn], violate: bool) -> Turn:
+        return self._play(turns) if self.role is _SELLER else super().seller(turns, violate)
+
+    def _play(self, turns: list[Turn]) -> Turn:
+        turn = self.speak(tuple(turns))
+        if turn is None:  # the player left
+            raise _Halt
+        if turn.speaker is not self.role:
+            raise ValueError(f"the player speaks for the {self.role.value}, not the {turn.speaker.value}")
+        if not turn.violation:
+            bargain_move(self.world, self.state, self.role.value)
+        elif self.role is not _SELLER:
+            raise ValueError("only seller turns can be flagged as violations")
+        else:
+            self.violated(turn.text if turn.original_text is not None else None)
+        return turn
 
 
 class _RemoteLane:
@@ -161,7 +182,7 @@ class _RemoteLane:
         templates: TemplateStore,
         bounds: PriceBounds,
     ):
-        self.sessions = {"seller": seller, "buyer": buyer}
+        self.sessions = {_SELLER: seller, _BUYER: buyer}
         self.moderator = moderator
         self.evaluator = evaluator
         self.templates = templates
@@ -174,15 +195,15 @@ class _RemoteLane:
         self.error: Optional[str] = None
         self.unjudged = False
 
-    def _say(self, role: str, template_id: str, turns: list[Turn]) -> Optional[str]:
+    def _say(self, speaker: Speaker, template_id: str, turns: list[Turn], violate: bool = False) -> Optional[Turn]:
         conv = render_conversation(turns)
         msgs = render(self.templates.get(template_id), {**self.prices, "$CONVERSATION": conv})
         try:
-            text = chat(self.sessions[role], msgs)
+            text = chat(self.sessions[speaker], msgs)
             if not text:
-                raise BackendError(f"empty {role} completion")
+                raise BackendError(f"empty {speaker.value} completion")
         except ContentFilterError:
-            if role == "seller":  # withheld; a refused buyer turn ends the dialogue
+            if speaker is _SELLER:  # withheld; a refused buyer turn ends the dialogue
                 return None
             self.error = "content_filter"
             raise _Halt
@@ -190,13 +211,13 @@ class _RemoteLane:
             self.error = f"backend: {exc}"
             raise _Halt
         self.unjudged = True
-        return text
+        return Turn(speaker=speaker, text=text, violation=violate)
 
-    def buyer(self, turns: list[Turn]) -> Optional[str]:
-        return self._say("buyer", "buyer", turns)
+    def buyer(self, turns: list[Turn]) -> Turn:  # a refused buyer turn halts; only a seller's is withheld
+        return self._say(_BUYER, "buyer", turns)
 
-    def seller(self, turns: list[Turn], violate: bool) -> Optional[str]:
-        return self._say("seller", "seller_violate" if violate else "seller_normal", turns)
+    def seller(self, turns: list[Turn], violate: bool) -> Optional[Turn]:
+        return self._say(_SELLER, "seller_violate" if violate else "seller_normal", turns, violate)
 
     def violated(self, rewrite: Optional[str]) -> None:
         pass
@@ -224,36 +245,31 @@ def _rollout(
 ) -> list[Turn]:
     """Run the negotiation loop from the opening turns over a lane.
 
-    Each round the buyer speaks, then the seller. After each turn the loop
-    stops at the turn cap before it asks ``lane.done``. Every seller turn
-    draws one Bernoulli(p_c) coin, and heads ask ``lane.seller`` for a
-    violating utterance, which the remediator may rewrite before
-    ``lane.violated`` lands it. Returns the turns.
+    Each round the buyer speaks, then the seller, and the loop appends the
+    turn each returns. After each turn the loop stops at the turn cap before
+    it asks ``lane.done``. Every seller turn draws one Bernoulli(p_c) coin,
+    and heads ask ``lane.seller`` for a violating turn, whose text the
+    remediator may rewrite before ``lane.violated`` lands it. Returns the turns.
     """
-    turns = _opening_turns(lane.bounds)
+    turns = [Turn(speaker=_BUYER, text=BUYER_OPENER), Turn(speaker=_SELLER, text=seller_opener(lane.bounds))]
     rng = random.Random(config.seed)
     try:
         while len(turns) < config.max_turns and not lane.done(turns):
-            turns.append(Turn(speaker=_BUYER, text=lane.buyer(turns)))
+            turns.append(lane.buyer(turns))
             if len(turns) >= config.max_turns or lane.done(turns):
                 break
             violate = rng.random() < config.p_c
-            text = lane.seller(turns, violate)
-            if text is None:
-                turns.append(Turn(speaker=_SELLER, text=WITHHELD))
-            elif not violate:
-                turns.append(Turn(speaker=_SELLER, text=text))
-            else:
+            turn = lane.seller(turns, violate)
+            if turn is None:
+                turn = Turn(speaker=_SELLER, text=WITHHELD)
+            elif violate:
                 rewrite: Optional[str] = None
                 if config.remediation_enabled and remediator is not None:
-                    rewrite = remediator(tuple(turns), text)
+                    rewrite = remediator(tuple(turns), turn.text)
                 lane.violated(rewrite)
-                if rewrite is None:
-                    turns.append(Turn(speaker=_SELLER, text=text, violation=True))
-                else:
-                    turns.append(
-                        Turn(speaker=_SELLER, text=rewrite, violation=True, original_text=text)
-                    )
+                if rewrite is not None:
+                    turn = Turn(speaker=_SELLER, text=rewrite, violation=True, original_text=turn.text)
+            turns.append(turn)
     except _Halt:
         pass
     return turns
@@ -372,32 +388,15 @@ def continue_rollout(
 def play(world: ScriptedWorld, role: Speaker, speak: Speak, max_turns: int = 20) -> Dialogue:
     """Play one scripted negotiation with a person speaking for ``role``.
 
-    Runs from the fixed opening turns on the scripted lane, so both sides'
-    numbers move as in a rollout: the player's words are their side's turns,
-    for which no scripted text is rendered, and the scripted counterpart
-    never violates. A seller turn marked ``violation`` charges goodwill
-    through the lane; when it carries ``original_text`` its text is the
-    accepted rewrite, whose quality the world reads back. The dialogue ends
-    at a deal, a walk-away, the turn cap, or when ``speak`` returns None; it
-    always has an outcome.
+    Runs the rollout loop over the scripted lane with ``role``'s turns taken
+    from ``speak``: the player's words move their side's number, no scripted
+    text is rendered for them, and the scripted counterpart never violates.
+    A seller turn marked ``violation`` charges goodwill; when it carries
+    ``original_text`` its text is the accepted rewrite, whose quality the
+    world reads back. A turn for the other role, or a flagged buyer turn,
+    raises ValueError. The dialogue ends at a deal, a walk-away, the turn
+    cap, or when ``speak`` returns None; it always has an outcome.
     """
-    SimulationConfig(max_turns=max_turns)  # the rollout's check on the cap
-    lane = _ScriptedLane(world)
-    turns = _opening_turns(world.bounds)
-    speaker = _BUYER
-    while len(turns) < max_turns and not lane.done(turns):
-        turn = speak(tuple(turns)) if speaker is role else None
-        if turn is None and speaker is role:  # the player left
-            break
-        if turn is None:  # the scripted counterpart
-            text = lane.buyer(turns) if speaker is _BUYER else lane.seller(turns, False)
-            turn = Turn(speaker=speaker, text=text)
-        elif turn.violation:
-            if speaker is not _SELLER:
-                raise ValueError("only seller turns can be flagged as violations")
-            lane.violated(turn.text if turn.original_text is not None else None)
-        else:  # the player's words stand; the bargain moves their side's number
-            bargain_move(world, lane.state, speaker.value)
-        turns.append(turn)
-        speaker = _SELLER if speaker is _BUYER else _BUYER
+    lane = _PlayerLane(world, role, speak)
+    turns = _rollout(lane, SimulationConfig(p_c=0.0, max_turns=max_turns), None)
     return lane.dialogue(turns, "interactive-0")

@@ -916,6 +916,37 @@ def test_every_writing_subcommand_writes_a_manifest(tmp_path, monkeypatch, argv)
     assert str(paths["out"]) in manifest["outputs"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--strategy", "random", "--pool", "{pool}", "--k", "2", "--out", "{out}"],
+        ["evaluate", "--in", "{corpus}", "--report", "{out}"],
+        ["interactive", "--role", "buyer", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_output_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys, argv):
+    # Each output goes to a new file beside it, which replaces it only once
+    # written: a rename that fails leaves the old bytes and no new file.
+    monkeypatch.setattr("builtins.input", lambda prompt="": "/quit")
+    paths = {
+        "corpus": simulate_corpus(tmp_path),
+        "pool": make_pool_file(tmp_path, (0.9, 0.8, 0.7)),
+        "out": tmp_path / "out.json",
+    }
+    paths["out"].write_bytes(b"old bytes\n")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr("negotia.core.os.replace", fail)
+    capsys.readouterr()
+    assert run([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+    assert paths["out"].read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.glob("*.tmp*")) == []
+
+
 def test_corpus_records_are_refused_where_they_enter(tmp_path, capsys):
     # A record the old decoder coerced, and a turn text it let through that
     # UTF-8 cannot encode: each ends in exit 2 naming the line, before any

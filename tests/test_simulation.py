@@ -543,6 +543,16 @@ def test_play_rejects_flagged_buyer_turns(world):
         play(world, Speaker.BUYER, speak)
 
 
+@pytest.mark.parametrize("role, other", [(Speaker.SELLER, Speaker.BUYER), (Speaker.BUYER, Speaker.SELLER)])
+def test_play_refuses_a_turn_for_the_other_role(world, role, other):
+    # Appended, it would make a dialogue whose speakers do not alternate.
+    def speak(turns):
+        return Turn(speaker=other, text="Let us keep talking.")
+
+    with pytest.raises(ValueError, match=f"the player speaks for the {role.value}, not the {other.value}"):
+        play(world, role, speak)
+
+
 @pytest.mark.parametrize("max_turns", [1, 0, -3])
 def test_play_refuses_a_cap_below_the_opening_turns(world, max_turns):
     # The two opening turns are always played, so a smaller cap could not hold.

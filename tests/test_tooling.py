@@ -8,9 +8,11 @@ tests whether UTF-8 can encode a text, each marker a loader splits a
 record line at is one core constant that its writer and loader share,
 only the record writers encode turns, only prompts writes a ``speaker:
 text`` transcript line, only the bargaining transition writes a bargain
-state, only the rollout loop draws the violation coin, no scripted line is
-rendered only to be thrown away, only retrieval loads numpy, and embed
-hashes through embed_many."""
+state, only the rollout loop draws the violation coin, only the rollout
+loop and continue_rollout loop in simulation, only core.write_whole and
+the chat cache entry write a file, no scripted line is rendered only to be
+thrown away, only retrieval loads numpy, and embed hashes through
+embed_many."""
 
 from __future__ import annotations
 
@@ -577,6 +579,95 @@ def test_only_the_rollout_loop_draws_the_coin():
         if (users := _coin_draws(path.read_text(encoding="utf-8")))
     }
     assert found == {"simulation.py": {"_rollout"}}
+
+
+def _loops(source: str) -> set[str]:
+    """The top-level definitions that hold a ``for`` or ``while`` statement,
+    with ``<module>`` for module-level code."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body
+        if any(isinstance(node, (ast.For, ast.AsyncFor, ast.While)) for node in ast.walk(top))
+    }
+
+
+def test_loop_detector():
+    assert _loops(
+        "def a(n):\n    while n:\n        n -= 1\n"
+        "class B:\n    def f(self, xs):\n        for x in xs:\n            pass\n"
+        "for i in range(3):\n    pass\n"
+    ) == {"a", "B", "<module>"}
+    assert _loops("def a(xs):\n    return [x for x in xs]\ndef b(n):\n    return a(range(n))\n") == set()
+
+
+def test_simulation_has_one_turn_loop():
+    # play runs the rollout loop over a player lane; a second turn loop could
+    # drift from the first's turn cap, end check and speaker order.
+    source = (ROOT / "src" / "negotia" / "simulation.py").read_text(encoding="utf-8")
+    assert _loops(source) == {"_rollout", "continue_rollout"}
+
+
+def _writing_mode(mode: ast.expr | None) -> bool:
+    """Whether an ``open`` mode may write: any mode but a constant without
+    ``w``, ``a``, ``x`` or ``+``; no mode reads."""
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set("wax+") & set(mode.value))
+
+
+def _file_writes(source: str) -> set[str]:
+    """The enclosing function, as ``Class.method`` within a class, of each
+    ``open()`` or ``.open()`` call whose mode may write and of each
+    ``write_text`` or ``write_bytes`` call, with ``<module>`` for module-level
+    code."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.Call):
+                func, keywords = child.func, {k.arg: k.value for k in child.keywords}
+                if isinstance(func, ast.Name) and func.id == "open":
+                    writes = _writing_mode(keywords.get("mode", child.args[1] if len(child.args) > 1 else None))
+                elif isinstance(func, ast.Attribute) and func.attr == "open":
+                    writes = _writing_mode(keywords.get("mode", child.args[0] if child.args else None))
+                else:
+                    writes = isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
+                if writes:
+                    found.add(where or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_file_write_detector():
+    assert _file_writes(
+        "def a(p):\n    open(p, 'w')\n"
+        "class B:\n    def f(self, p, m):\n        p.open(mode=m)\n"
+        "def c(p):\n    p.write_text('x')\n"
+        "def d(p):\n    p.write_bytes(b'x')\n"
+        "def e(p):\n    open(p, mode='a+b')\n"
+        "with Path(p).open('x') as f:\n    pass\n"
+    ) == {"a", "B.f", "c", "d", "e", "<module>"}
+    assert _file_writes(
+        "def a(p):\n    open(p)\n    open(p, 'rb')\n    p.open(encoding='utf-8')\n"
+        "    p.open(mode='r')\n    p.read_text()\n    f.write('x')\n"
+    ) == set()
+
+
+def test_only_write_whole_and_the_cache_entry_write_files():
+    # Every output is whole or not at all because core.write_whole writes it;
+    # a chat cache entry keeps its own rename, since the shared writer's checks
+    # would land on every cache miss.
+    found = {
+        (path.name, where)
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        for where in _file_writes(path.read_text(encoding="utf-8"))
+    }
+    assert found == {("core.py", "write_whole"), ("backends.py", "chat")}
 
 
 def _discarded_scripted_steps(source: str) -> list[int]:
