@@ -61,9 +61,30 @@ class Written:
     inputs: tuple[Path, ...] = ()
 
 
+# A manifest hashes a file this many bytes at a time, so that it never holds
+# a whole corpus or pool.
+_HASH_BLOCK = 1 << 20
+
+
+def _sha256(path: Path) -> Optional[str]:
+    """The hex sha256 of a regular file's bytes, or None for any other path,
+    such as a FIFO, whose bytes a reader has taken, or a device."""
+    if not path.is_file():
+        return None
+    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with path.open("rb", buffering=0) as f:
+        while n := f.readinto(block):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
 def _write_manifest(args: argparse.Namespace, started: float, written: Written) -> None:
+    if not written.outputs[0].is_file():  # nothing is written beside a FIFO or a device
+        return
+
     def digests(paths) -> dict:
-        return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.exists()}
+        return {str(p): _sha256(p) for p in paths if p.exists()}
 
     manifest = {
         "command": args.command,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NoReturn, Optional
 
 from .backends import (
@@ -52,6 +53,11 @@ BUYER_OPENER = "Hello, does your esteemed company have a special industrial prod
 
 # Enum member lookups cost a few hundred ns each; the rollout loop uses these.
 _BUYER, _SELLER = Speaker.BUYER, Speaker.SELLER
+
+# The openers and the scripted lane's turns are built through this memo, so
+# that equal turns are one object, as in a loaded corpus. Call it
+# positionally: keyword calls key apart. Its bound is that of core's tables.
+_turn = lru_cache(maxsize=1024)(Turn)
 
 # Every simulated negotiation is a product sale.
 _TOPIC = Topic.PRODUCT_SALE
@@ -117,12 +123,12 @@ class _ScriptedLane:
         self.state = BargainState.initial(world)
 
     def buyer(self, turns: list[Turn]) -> Turn:
-        return Turn(speaker=_BUYER, text=scripted_step(self.world, self.state, "buyer"))
+        return _turn(_BUYER, scripted_step(self.world, self.state, "buyer"))
 
     def seller(self, turns: list[Turn], violate: bool) -> Turn:
         if violate:  # the state is charged by violated() once the rewrite is known
-            return Turn(speaker=_SELLER, text=scripted_violation_text(self.state.pending_ask), violation=True)
-        return Turn(speaker=_SELLER, text=scripted_step(self.world, self.state, "seller"))
+            return _turn(_SELLER, scripted_violation_text(self.state.pending_ask), True)
+        return _turn(_SELLER, scripted_step(self.world, self.state, "seller"))
 
     def violated(self, rewrite: Optional[str]) -> None:
         quality = None if rewrite is None else remediation_quality(rewrite)
@@ -251,7 +257,7 @@ def _rollout(
     and heads ask ``lane.seller`` for a violating turn, whose text the
     remediator may rewrite before ``lane.violated`` lands it. Returns the turns.
     """
-    turns = [Turn(speaker=_BUYER, text=BUYER_OPENER), Turn(speaker=_SELLER, text=seller_opener(lane.bounds))]
+    turns = [_turn(_BUYER, BUYER_OPENER), _turn(_SELLER, seller_opener(lane.bounds))]
     rng = random.Random(config.seed)
     try:
         while len(turns) < config.max_turns and not lane.done(turns):

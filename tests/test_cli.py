@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from negotia import cli
 from negotia.cli import run
 from negotia.core import load_dialogues, load_exemplars
 from negotia.search import search_optimal_set, split_candidates
@@ -85,6 +89,81 @@ def test_annotate_manifest_lists_input(tmp_path):
     manifest = read_manifest(pool_path)
     assert str(corpus) in manifest["inputs"]
     assert manifest["counts"]["exemplars"] == len(load_exemplars(pool_path))
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_digests_are_each_files_sha256(tmp_path):
+    # Both files span more than one hash block.
+    corpus, pool = tmp_path / "corpus.jsonl", tmp_path / "pool.jsonl"
+    assert run(["simulate", "--seed", "1", "--n", "1000", "--out", str(corpus)]) == 0
+    assert run(["annotate", "--in", str(corpus), "--out", str(pool)]) == 0
+    assert min(corpus.stat().st_size, pool.stat().st_size) > cli._HASH_BLOCK
+    manifest = read_manifest(pool)
+    assert manifest["inputs"] == {str(corpus): sha256_of(corpus)}
+    assert manifest["outputs"] == {str(pool): sha256_of(pool)}
+
+
+def test_manifest_hashes_a_block_at_a_time(tmp_path):
+    out = tmp_path / "big.jsonl"
+    out.write_bytes(b"x" * (3 * cli._HASH_BLOCK + 1))
+    args = argparse.Namespace(command="simulate", seed=1)
+    tracemalloc.start()
+    try:
+        cli._write_manifest(args, time.time(), cli.Written([out], {}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cli._HASH_BLOCK
+    assert read_manifest(out)["outputs"] == {str(out): sha256_of(out)}
+
+
+def run_in_a_child(cwd, *argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh process, so that a command that blocks fails
+    the test at the timeout instead of hanging the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "negotia.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
+READ_A_FILE = "import sys\nwith open(sys.argv[1], 'rb') as f:\n    sys.stdout.buffer.write(f.read())\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_output_is_streamed_without_a_manifest(tmp_path):
+    # A manifest that read the FIFO back would wait for a writer forever.
+    fifo = tmp_path / "corpus.jsonl"
+    os.mkfifo(fifo)
+    with subprocess.Popen([sys.executable, "-c", READ_A_FILE, str(fifo)], stdout=subprocess.PIPE) as reader:
+        try:
+            proc = run_in_a_child(tmp_path, "simulate", "--n", "2", "--out", str(fifo))
+            streamed = reader.communicate(timeout=60)[0]
+        finally:
+            reader.kill()
+    assert proc.returncode == 0, proc.stderr
+    expected = tmp_path / "expected" / "corpus.jsonl"
+    expected.parent.mkdir()
+    assert run(["simulate", "--n", "2", "--out", str(expected)]) == 0
+    assert streamed == expected.read_bytes()
+    assert not (tmp_path / "corpus.jsonl.manifest.json").exists()
+
+
+def test_device_output_gets_no_manifest_and_input_no_digest(tmp_path):
+    null = tmp_path / "null.jsonl"
+    null.symlink_to(os.devnull)
+    proc = run_in_a_child(tmp_path, "simulate", "--n", "2", "--out", str(null))
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "null.jsonl.manifest.json").exists()
+    # Read as an empty corpus, the device is listed without a digest.
+    pool = tmp_path / "pool.jsonl"
+    proc = run_in_a_child(tmp_path, "annotate", "--in", str(null), "--out", str(pool))
+    assert proc.returncode == 0, proc.stderr
+    manifest = read_manifest(pool)
+    assert manifest["inputs"] == {str(null): None}
+    assert manifest["outputs"] == {str(pool): sha256_of(pool)}
 
 
 def make_pool_file(tmp_path, qualities):
@@ -522,12 +601,7 @@ def test_exit_codes(tmp_path):
 
 def test_module_entry_point_runs_a_command(tmp_path):
     corpus = simulate_corpus(tmp_path)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "negotia.cli", "evaluate", "--in", str(corpus), "--report", "r.json"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_in_a_child(tmp_path, "evaluate", "--in", str(corpus), "--report", "r.json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "r.json").read_text())["n"] == 5
 

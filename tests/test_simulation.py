@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from negotia import core, simulation
 from negotia.backends import (
     BackendSession,
     BargainState,
     NetworkError,
     ScriptedWorld,
     bargain_move,
+    derive_seed,
     scripted_remediation_text,
 )
 from negotia.core import Dialogue, Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
@@ -223,6 +225,36 @@ def test_scripted_rollouts_share_one_loop(world, scripted_session, seed, p_c, ma
     assert c.turns[:n] == point.prefix
     assert c.turns[n].violation and c.turns[n].original_text == point.violation_text
     assert continue_rollout(world, config, point, rewrite) == c.outcome
+
+
+def _scripted_turns(scripted_session, worlds) -> list[Turn]:
+    return [
+        t
+        for i, w in enumerate(worlds)
+        for t in simulate(scripted_session, scripted_session, scripted_session,
+                          SimulationConfig(seed=derive_seed(0, "rollout", i)), world=w).turns
+    ]
+
+
+def test_scripted_corpus_shares_one_turn_per_distinct_turn(world, scripted_session):
+    # As a loaded corpus does: a scripted corpus repeats a few dozen turns,
+    # and a copy of each per dialogue would hold it thousands of times.
+    turns = _scripted_turns(scripted_session, [world] * 200)
+    assert len({id(t) for t in turns}) == len(set(turns)) < len(turns) / 10
+
+
+def test_shared_turn_memo_keeps_its_bound(bounds, scripted_session):
+    # Dialogues whose worlds differ share few turns; the memo keeps at most
+    # as many as core's per-file tables.
+    rng = random.Random(3)
+    worlds = [
+        ScriptedWorld(bounds=bounds, concession_buyer=rng.uniform(0.2, 0.4), concession_seller=rng.uniform(0.2, 0.4))
+        for _ in range(400)
+    ]
+    turns = _scripted_turns(scripted_session, worlds)
+    info = simulation._turn.cache_info()
+    assert len(set(turns)) > info.maxsize == core._INTERN_LIMIT
+    assert info.currsize <= info.maxsize
 
 
 _RATE = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)

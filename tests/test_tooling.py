@@ -10,9 +10,9 @@ only the record writers encode turns, only prompts writes a ``speaker:
 text`` transcript line, only the bargaining transition writes a bargain
 state, only the rollout loop draws the violation coin, only the rollout
 loop and continue_rollout loop in simulation, only core.write_whole and
-the chat cache entry write a file, no scripted line is rendered only to be
-thrown away, only retrieval loads numpy, and embed hashes through
-embed_many."""
+the chat cache entry write a file, no module reads a whole file as bytes,
+no scripted line is rendered only to be thrown away, only retrieval loads
+numpy, and embed hashes through embed_many."""
 
 from __future__ import annotations
 
@@ -668,6 +668,31 @@ def test_only_write_whole_and_the_cache_entry_write_files():
         for where in _file_writes(path.read_text(encoding="utf-8"))
     }
     assert found == {("core.py", "write_whole"), ("backends.py", "chat")}
+
+
+def _whole_file_reads(source: str) -> list[int]:
+    """Line numbers of ``.read_bytes()`` calls."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "read_bytes"
+    ]
+
+
+def test_whole_file_read_detector():
+    assert _whole_file_reads("def a(p):\n    return p.read_bytes()\nh(Path(q).read_bytes())\n") == [2, 3]
+    assert _whole_file_reads("def a(p, f):\n    p.read_text()\n    f.read(4)\n    read_bytes(p)\n") == []
+
+
+def test_no_module_reads_a_whole_file_as_bytes():
+    # A manifest hashes corpora and pools of many MB; reading one whole held
+    # it all in memory at once. Hash or parse a file a block or a line at a time.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "negotia").glob("*.py"))
+        if (lines := _whole_file_reads(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def _discarded_scripted_steps(source: str) -> list[int]:
