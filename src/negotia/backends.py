@@ -125,8 +125,9 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
 
     Cache entries are content-addressed by a digest of the canonical
     serialization of the request body (model, generation params, messages);
-    a hit is one read of ``<digest>.json``, whose ``content`` must be a string
-    that UTF-8 can encode, as a reply's must.
+    a hit is one read of the bytes of ``<digest>.json``, decoded as strict
+    UTF-8, whose ``content`` must be a string that UTF-8 can encode, as a
+    reply's must.
     Each writer renames its own temp file into place, so concurrent writers
     of one key never collide; the last rename wins with identical contents.
     Only a transport's ``NetworkError`` is retried; a malformed response or
@@ -148,8 +149,10 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
     if session.cache_dir is not None:
         cache_path = os.path.join(session.cache_dir, f"{digest}.json")
         try:
-            with open(cache_path, encoding="utf-8") as entry:
-                content = json.load(entry)["content"]
+            # One unbuffered read of the bytes, decoded as strict UTF-8 first:
+            # json.loads of bytes would take UTF-16/32 and a UTF-8 BOM too.
+            with open(cache_path, "rb", buffering=0) as entry:
+                content = json.loads(entry.read().decode("utf-8"))["content"]
         except FileNotFoundError:
             pass  # a miss: ask the transport
         except (ValueError, KeyError, TypeError) as exc:

@@ -140,9 +140,13 @@ def render(template: PromptTemplate, bindings: dict[str, str]) -> list[dict]:
     return messages
 
 
+# Each speaker's line prefix, built once: every transcript line starts with one.
+_TAGS = {s: f"{s.value}: " for s in Speaker}
+
+
 def render_conversation(turns: list[Turn] | tuple[Turn, ...]) -> str:
     """Render a trajectory as speaker-tagged lines for prompt embedding."""
-    return "\n".join(f"{t.speaker.value}: {t.text}" for t in turns)
+    return "\n".join([_TAGS[t.speaker] + t.text for t in turns])
 
 
 def exemplar_text(e: Exemplar, conversation: Optional[str] = None) -> str:
@@ -150,7 +154,7 @@ def exemplar_text(e: Exemplar, conversation: Optional[str] = None) -> str:
 
     ``conversation``, when given, is ``render_conversation(e.history)``, for
     a caller that renders each distinct history once."""
-    line = f"{Speaker.SELLER.value}: {e.violation_text}"
+    line = _TAGS[Speaker.SELLER] + e.violation_text
     if not e.history:
         return line
     return f"{render_conversation(e.history) if conversation is None else conversation}\n{line}"

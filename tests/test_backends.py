@@ -164,6 +164,33 @@ def test_chat_refuses_a_cache_entry_that_holds_a_lone_surrogate(tmp_path):
         chat(session, msgs)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ['{"content": "café"}'.encode("utf-16"), b'\xef\xbb\xbf{"content": "caf\xc3\xa9"}',
+     b'{"content": "caf\xff"}', b'{"content": "caf\xed\xa0\xbd"}'],
+    ids=["utf-16-bom", "utf-8-bom", "stray-ff", "encoded-surrogate"],
+)
+def test_chat_cache_entry_must_be_strict_utf8(tmp_path, entry):
+    # json.loads of these bytes would detect UTF-16 and skip a UTF-8 BOM; an
+    # entry is read as UTF-8 text, as it is written, and nothing else.
+    session = remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path)
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(session, msgs) == "answer"
+    [cached] = tmp_path.iterdir()
+    cached.write_bytes(entry)
+    with pytest.raises(BackendError, match="unreadable cache entry"):
+        chat(session, msgs)
+
+
+def test_chat_reads_a_cache_entry_from_another_writer(tmp_path):
+    session = remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path)
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(session, msgs) == "answer"
+    [cached] = tmp_path.iterdir()
+    cached.write_bytes('\n{ "content" : "café" }\n'.encode("utf-8"))
+    assert chat(session, msgs) == "café"
+
+
 def test_http_transport_retries_unreadable_body(monkeypatch):
     import requests
 
@@ -308,6 +335,19 @@ def test_chat_cache_hit_makes_no_transport_call(tmp_path, as_type):
     assert chat(remote_session(lambda body: ok_response("other"), cache_dir=as_type(tmp_path)),
                 [{"role": "user", "content": "other"}]) == "other"
     assert len(list(tmp_path.iterdir())) == 2
+
+
+@pytest.mark.parametrize("reply", ["café", "价格 ¥300", "😀", 'say "no"\\\nthen go'],
+                         ids=["accent", "cjk", "astral", "quote-backslash-newline"])
+def test_chat_warm_hit_returns_a_non_ascii_reply(tmp_path, reply):
+    # A rerun in a fresh process reads the entry through a new session.
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(remote_session(lambda body: ok_response(reply), cache_dir=tmp_path), msgs) == reply
+
+    def unreachable(body):
+        raise AssertionError("a cache hit reached the transport")
+
+    assert chat(remote_session(unreachable, cache_dir=tmp_path), msgs) == reply
 
 
 def test_chat_cache_concurrent_writers(tmp_path):

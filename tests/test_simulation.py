@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,10 +19,15 @@ from negotia.backends import (
     ScriptedWorld,
     bargain_move,
     derive_seed,
+    remediation_quality,
+    scripted_outcome,
     scripted_remediation_text,
+    scripted_step,
+    scripted_violation_text,
 )
-from negotia.core import Dialogue, Speaker, Turn, dump_dialogues, load_dialogues, validate_dialogue
+from negotia.core import Dialogue, Speaker, Turn, dump_dialogues, format_money, load_dialogues, validate_dialogue
 from negotia.outcome import reward
+from negotia.remediate import SILVER_SCRIPTED_QUALITY, RemediationPolicy, remediate
 from negotia.simulation import (
     BUYER_OPENER,
     SimulationConfig,
@@ -534,6 +540,100 @@ def test_remote_lane_reply_with_a_lone_surrogate_ends_only_its_dialogue(tmp_path
     assert loaded.error == "backend: malformed provider response: content holds a lone surrogate"
     assert loaded.outcome is None
     assert len(loaded.turns) == (2 if role == "buyer" else 3)
+
+
+class WorldTransport:
+    """A transport that plays the scripted world through the remote prompts.
+
+    Buyer and seller requests answer with the scripted lines and move the
+    bargain; the remediator answers with the scripted zero-shot rewrite. A
+    violation lands on the next request but a remediator's, which shows the
+    seller line that was kept: the raw text lands unremediated, a rewrite
+    with its quality tag. The moderator and the evaluators answer from the
+    bargain, the deal price in dollars as the agents see prices.
+    """
+
+    _TRUST = {1: "Trust Deepening", 0: "No Change", -1: "Trust Weakening"}
+    _BUSINESS = {
+        1: "Business Relationship Deepening", 0: "No Change", -1: "Business Relationship Weakening",
+    }
+
+    def __init__(self, world, template_id):
+        self.world, self.template_id = world, template_id
+        self.state = BargainState.initial(world)
+        self.violation = None  # the raw violating line not yet landed
+
+    def __call__(self, body):
+        messages = body["messages"]
+        tid = self.template_id(messages)
+        if tid == "remediator":
+            return self._ok(scripted_remediation_text(SILVER_SCRIPTED_QUALITY))
+        if self.violation is not None:
+            lines = [ln for m in messages for ln in m["content"].splitlines() if ln.startswith("seller: ")]
+            kept = lines[-1].removeprefix("seller: ")
+            quality = None if kept == self.violation else remediation_quality(kept)
+            bargain_move(self.world, self.state, "seller", True, quality)
+            self.violation = None
+        if tid in ("buyer", "seller_normal"):
+            return self._ok(scripted_step(self.world, self.state, tid.removesuffix("_normal")))
+        if tid == "seller_violate":
+            self.violation = scripted_violation_text(self.state.pending_ask)
+            return self._ok(self.violation)
+        if tid == "moderator":
+            return self._ok("Yes" if self.state.terminal else "No")
+        outcome = scripted_outcome(self.world, self.state)
+        if tid == "deal_eval":
+            return self._ok(f"Deal\n{format_money(outcome.price)}" if outcome.deal else "No deal")
+        if tid == "trust_eval":
+            return self._ok(self._TRUST[outcome.trust_delta])
+        return self._ok(self._BUSINESS[outcome.business_delta])
+
+    @staticmethod
+    def _ok(content):
+        return {"choices": [{"finish_reason": "stop", "message": {"content": content}}]}
+
+
+@pytest.fixture
+def template_id(monkeypatch):
+    """The benchmark stub's reading of which template a request came from."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import stub
+
+    return stub.template_id
+
+
+@pytest.mark.parametrize("remediation", [False, True], ids=["unremediated", "remediated"])
+def test_remote_lane_plays_the_scripted_world_alike(tmp_path, world, scripted_session, templates, template_id,
+                                                    remediation):
+    # Deal prices are left out: the evaluator answers in dollars, and the
+    # deal parser reads them as minor units.
+    def unreachable(body):
+        raise AssertionError("a warm rerun reached the transport")
+
+    scripted_policy = RemediationPolicy(exemplars=(), backend=scripted_session)
+    violations = 0
+    for seed in range(30):
+        config = SimulationConfig(p_c=0.4, remediation_enabled=remediation, seed=seed)
+        scripted = simulate(
+            scripted_session, scripted_session, scripted_session, config, world=world,
+            remediator=lambda history, text: remediate(scripted_policy, history, text),
+        )
+        runs = []
+        for transport in (WorldTransport(world, template_id), unreachable):  # cold, then warm
+            session = replace(remote(transport), cache_dir=tmp_path / f"seed{seed}")
+            policy = RemediationPolicy(exemplars=(), backend=session)
+            runs.append(simulate(
+                session, session, session, config, templates,
+                remediator=lambda history, text: remediate(policy, history, text, templates),
+                evaluator=session, bounds=world.bounds,
+            ))
+        cold, warm = runs
+        assert cold.error is None and warm == cold
+        assert cold.turns == scripted.turns
+        assert (cold.outcome.deal, cold.outcome.trust_delta, cold.outcome.business_delta) == (
+            scripted.outcome.deal, scripted.outcome.trust_delta, scripted.outcome.business_delta)
+        violations += sum(t.violation for t in cold.turns)
+    assert violations > 0
 
 
 def test_remote_lane_requires_bounds_templates_evaluator(templates, bounds):

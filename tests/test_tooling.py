@@ -101,14 +101,28 @@ def test_benchmark_library_calls(monkeypatch, tmp_path):
         kind="remote", endpoint="http://stub.invalid/v1", model_name="stub",
         cache_dir=tmp_path, backoff_base=0.0, transport=stub.StubTransport("t"),
     )
-    policy = remediate.RemediationPolicy(exemplars=(), backend=session)
     config = simulation.SimulationConfig(p_c=inputs.P_C, remediation_enabled=True, max_turns=20, seed=1)
-    dialogue = simulation.simulate(
-        session, session, session, config, templates,
-        remediator=lambda history, text: remediate.remediate(policy, history, text, templates),
-        evaluator=session, bounds=inputs.BOUNDS, dialogue_id="remote-0",
-    )
+
+    def run(session):
+        policy = remediate.RemediationPolicy(exemplars=(), backend=session)
+        return simulation.simulate(
+            session, session, session, config, templates,
+            remediator=lambda history, text: remediate.remediate(policy, history, text, templates),
+            evaluator=session, bounds=inputs.BOUNDS, dialogue_id="remote-0",
+        )
+
+    dialogue = run(session)
     assert dialogue.error is None and dialogue.outcome is not None
+
+    # The warm pass: a rerun through a new session on the same cache is all
+    # hits, so it reaches no transport and plays the same dialogue.
+    def unreachable(body):
+        raise AssertionError("a warm rerun reached the transport")
+
+    assert run(backends.BackendSession(
+        kind="remote", endpoint="http://stub.invalid/v1", model_name="stub",
+        cache_dir=tmp_path, backoff_base=0.0, transport=unreachable,
+    )) == dialogue
 
 
 def test_readme_cli_examples_parse():
@@ -410,12 +424,27 @@ def test_only_the_record_writers_encode_turns():
     assert found == {"core.py": {"dump_dialogues", "dump_exemplars"}}
 
 
-def _speaker_value(node: ast.expr) -> bool:
-    """Whether an expression is ``<x>.speaker.value`` or ``Speaker.<ROLE>.value``."""
-    if not (isinstance(node, ast.Attribute) and node.attr == "value" and isinstance(node.value, ast.Attribute)):
+def _speaker_value(node: ast.expr, speakers: set[str]) -> bool:
+    """Whether an expression is ``<x>.speaker.value``, ``Speaker.<ROLE>.value``
+    or ``<s>.value`` for a name ``s`` in ``speakers``."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "value"):
         return False
     owner = node.value
-    return owner.attr == "speaker" or (isinstance(owner.value, ast.Name) and owner.value.id == "Speaker")
+    if isinstance(owner, ast.Name):
+        return owner.id in speakers
+    return isinstance(owner, ast.Attribute) and (
+        owner.attr == "speaker" or (isinstance(owner.value, ast.Name) and owner.value.id == "Speaker")
+    )
+
+
+def _speaker_names(tree: ast.AST) -> set[str]:
+    """Names bound by a loop or comprehension over ``Speaker``."""
+    return {
+        node.target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Name) and node.iter.id == "Speaker"
+    }
 
 
 def _names_a_speaker(text: str) -> bool:
@@ -427,9 +456,11 @@ def _transcript_lines(source: str) -> list[int]:
     followed by ``": "``, and of string constants holding ``seller: `` or
     ``buyer: ``: each writes a ``speaker: text`` transcript line."""
     lines = set()
-    for node in ast.walk(ast.parse(source)):  # an f-string's literal parts are Constant nodes too
+    tree = ast.parse(source)
+    speakers = _speaker_names(tree)
+    for node in ast.walk(tree):  # an f-string's literal parts are Constant nodes too
         if isinstance(node, ast.JoinedStr) and any(
-            isinstance(a, ast.FormattedValue) and _speaker_value(a.value)
+            isinstance(a, ast.FormattedValue) and _speaker_value(a.value, speakers)
             and isinstance(b, ast.Constant) and b.value.startswith(": ")
             for a, b in zip(node.values, node.values[1:])
         ):
@@ -442,8 +473,10 @@ def _transcript_lines(source: str) -> list[int]:
 def test_transcript_line_detector():
     assert _transcript_lines('f"{t.speaker.value}: {t.text}"\nf"{Speaker.SELLER.value}: {x}"\n') == [1, 2]
     assert _transcript_lines('x = "seller: hi"\ny = f"{h}\\nbuyer: {x}"\n') == [1, 2]
+    assert _transcript_lines('T = {s: f"{s.value}: " for s in Speaker}\nfor r in Speaker:\n    f"{r.value}: "\n') == [1, 3]
     assert _transcript_lines(
         'f"{t.speaker.value}> "\nf"You are the {role.value}: "\nf"{Speaker.SELLER.value}"\n"seller"\n'
+        'T = {s: f"{s.value}> " for s in Speaker}\n[f"{c.value}: " for c in roles]\n'
     ) == []
 
 
