@@ -7,6 +7,7 @@ world that stands in for the role-playing LLM agents at desk scale.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import NegotiationOutcome, PriceBounds, encodable, format_money
@@ -155,7 +157,7 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
                 content = json.loads(entry.read().decode("utf-8"))["content"]
         except FileNotFoundError:
             pass  # a miss: ask the transport
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # a directory, say, or bytes that are not UTF-8
             raise BackendError(f"unreadable cache entry {cache_path}: {exc!r}") from exc
         else:
             if isinstance(content, str) and encodable(content):
@@ -191,9 +193,13 @@ def chat(session: BackendSession, messages: list[dict]) -> str:
     if cache_path is not None:
         os.makedirs(session.cache_dir, exist_ok=True)
         tmp = os.path.join(session.cache_dir, f"{digest}.tmp{os.getpid()}-{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"content": content}, ensure_ascii=False))
-        os.replace(tmp, cache_path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(json.dumps({"content": content}, ensure_ascii=False))
+            os.replace(tmp, cache_path)
+        finally:  # gone already once it replaced the entry
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
     return content
 
 
@@ -228,7 +234,7 @@ class ScriptedWorld:
             raise ValueError(f"close_tolerance must be at least 0, not {self.close_tolerance!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BargainState:
     """Mutable rollout state; confined to a single rollout worker."""
 
@@ -250,6 +256,9 @@ class BargainState:
         )
 
 
+# A policy's scripted rewrite is one text for every probe point it is
+# scored on, so each value-impact estimate parses it once.
+@lru_cache(maxsize=16)
 def remediation_quality(text: str) -> float:
     """Extract the scripted quality tag from a remediation; a text with no
     decimal ``[q=...]`` tag reads as 0."""
@@ -296,30 +305,38 @@ def bargain_move(
     if state.terminal:
         raise BackendError("scripted world stepped after terminal state")
 
+    # Each field is read once: the rollouts of value impact make these moves.
     if role == "buyer":
-        gap = state.ask - state.bid
-        factor = max(state.goodwill, 0.0) / 2.0
-        state.bid += world.concession_buyer * gap * factor
-        state.pending_ask = state.ask - world.concession_seller * gap
+        bid, ask, goodwill = state.bid, state.ask, state.goodwill
+        gap = ask - bid
+        factor = (0.0 if 0.0 > goodwill else goodwill) / 2.0  # max(goodwill, 0.0), -0.0 and NaN alike
+        state.bid = bid + world.concession_buyer * gap * factor
+        state.pending_ask = ask - world.concession_seller * gap
         return
 
     if role != "seller":
         raise BackendError(f"unknown scripted role: {role}")
 
-    if state.pending_ask is not None:
-        state.ask = state.pending_ask
+    ask = state.pending_ask
+    if ask is None:
+        ask = state.ask
+    else:
+        state.ask = ask
         state.pending_ask = None
+    goodwill = state.goodwill
     if violation:
-        state.goodwill -= 1.0
+        goodwill -= 1.0
         if quality is not None:
-            state.goodwill += quality
+            goodwill += quality
             state.remediation_qualities.append(quality)
         else:
             state.unremediated_violations += 1
+        state.goodwill = goodwill
 
     # Close rule, evaluated after the seller's number lands.
-    state.deal = state.ask - state.bid <= world.close_tolerance or state.bid >= state.ask
-    state.terminal = state.deal or state.goodwill <= 0.0
+    bid = state.bid
+    state.deal = deal = ask - bid <= world.close_tolerance or bid >= ask
+    state.terminal = deal or goodwill <= 0.0
 
 
 def scripted_step(
@@ -341,24 +358,28 @@ def scripted_step(
     )
 
 
+# A bargain that never closed; outcomes are frozen, so every one is this.
+_NO_DEAL = NegotiationOutcome(False, None, -1, -1)
+
+
 def scripted_outcome(world: ScriptedWorld, state: BargainState) -> NegotiationOutcome:
     """Assess a bargain state; one that never closed has no deal.
 
     Unremediated violations count as quality 0 in the mean; a dialogue with
     no violations at all is treated as mean quality 1 (vacuous mean).
     """
-    qualities = list(state.remediation_qualities) + [0.0] * state.unremediated_violations
-    mean_q = sum(qualities) / len(qualities) if qualities else 1.0
-
     if not state.deal:
-        return NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1)
+        return _NO_DEAL
 
+    qualities, unremediated = state.remediation_qualities, state.unremediated_violations
+    n = len(qualities) + unremediated
+    mean_q = sum(qualities) / n if n else 1.0  # the zeros add nothing to the sum
     price = round((state.bid + state.ask) / 2.0)
-    if state.unremediated_violations > 0:
+    if unremediated > 0:
         trust = -1
     elif mean_q >= 1.0:
         trust = 1
     else:
         trust = 0
     business = 1 if mean_q >= 0.5 else 0
-    return NegotiationOutcome(deal=True, price=price, trust_delta=trust, business_delta=business)
+    return NegotiationOutcome(True, price, trust, business)

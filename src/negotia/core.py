@@ -237,6 +237,12 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 _encode_str = json.encoder.encode_basestring  # how _ENCODER writes a string
 
 _SPEAKERS = {s.value: s for s in Speaker}
+_TOPICS = {t.value: t for t in Topic}
+
+# json.loads reads a text that neither starts nor ends with whitespace as the
+# value _scan(text, 0) returns when that scan ends at len(text), and refuses
+# it otherwise; it only adds those checks around the same scanner.
+_scan = json.JSONDecoder().scan_once
 
 # The most entries one file's intern table holds. A scripted corpus has a few
 # dozen distinct turns; a remote one repeats almost none, and an unbounded
@@ -471,10 +477,11 @@ def _run_reader(
             return fields(json.loads(line))
         text, rest = cut
         try:
-            obj = json.loads(rest)
-        except ValueError:
-            obj = None
-        if not obj or key in obj:  # no object to splice the run into, or a second run key
+            obj, end = _scan(rest, 0)
+        except (StopIteration, ValueError):
+            obj, end = None, 0
+        if end != len(rest) or type(obj) is not dict or not obj or key in obj:
+            # not one object to splice the run into, or one with a second run key
             return fields(json.loads(line))
         run = runs.get(text)
         if run is not None:
@@ -516,15 +523,12 @@ def _dialogue_decoder() -> Callable[[str], Dialogue]:
             turns = _decode_turns(obj["turns"], decode_turn)
             if problems := _opener_problems(turns):
                 raise CorpusError("; ".join(problems))
-        return Dialogue(
-            id=did,
-            topic=Topic(obj["topic"]),
-            bounds=share_bounds(cost, seller, buyer),
-            turns=turns,
-            outcome=outcome,
-            language=language,
-            error=error,
-        )
+        raw = obj["topic"]
+        try:
+            topic = _TOPICS[raw]
+        except (KeyError, TypeError):
+            topic = Topic(raw)  # raises the enum's own error
+        return Dialogue(did, topic, share_bounds(cost, seller, buyer), turns, outcome, language, error)
 
     return _run_reader("turns", _split_dialogue, fields)
 
@@ -563,14 +567,9 @@ def _exemplar_decoder() -> Callable[[str], Exemplar]:
             raise CorpusError("latent_quality must be a number")
         if quality is not None and not abs(quality) <= sys.float_info.max:  # false for NaN too
             raise CorpusError("latent_quality must be a finite number")
-        return Exemplar(
-            id=eid,
-            history=_decode_turns(obj["history"], decode_turn) if history is None else history,
-            violation_text=violation,
-            remediation_text=remediation,
-            rationale=rationale,
-            latent_quality=quality,
-        )
+        if history is None:
+            history = _decode_turns(obj["history"], decode_turn)
+        return Exemplar(eid, history, violation, remediation, rationale, quality)
 
     return _run_reader("history", _split_exemplar, fields)
 

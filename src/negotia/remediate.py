@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 from .backends import BackendError, BackendSession, scripted_remediation_text, chat
 from .core import Dialogue, Exemplar, Turn
@@ -50,6 +51,12 @@ class RemediationPolicy:
         mean = sum(qualities) / len(qualities)
         return min(max(mean, 0.0), 1.0)
 
+    @cached_property
+    def _scripted_text(self) -> str:
+        """The scripted rewrite, the same for every violation: built once
+        per policy, not once per probe point."""
+        return scripted_remediation_text(self.scripted_quality())
+
 
 def remediate(
     policy: RemediationPolicy,
@@ -67,7 +74,7 @@ def remediate(
         raise ValueError("violating text must be non-empty")
 
     if policy.backend.kind == "scripted":
-        return scripted_remediation_text(policy.scripted_quality())
+        return policy._scripted_text
 
     if templates is None:
         raise ValueError("remote remediation requires templates")

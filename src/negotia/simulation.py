@@ -382,7 +382,7 @@ def continue_rollout(
         raise ValueError("remediation text must be non-empty")
     # An open bargain with no violation yet holds nothing but these numbers.
     bid, ask, goodwill, pending_ask = point.head
-    state = BargainState(bid=bid, ask=ask, goodwill=goodwill, pending_ask=pending_ask)
+    state = BargainState(bid, ask, goodwill, False, False, pending_ask)
     bargain_move(world, state, "seller", True, remediation_quality(remediation))
     n = len(point.prefix) + 1
     while n < config.max_turns and not state.terminal:  # the buyer speaks at even counts, as in _rollout

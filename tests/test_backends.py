@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import math
 import os
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -180,6 +183,32 @@ def test_chat_cache_entry_must_be_strict_utf8(tmp_path, entry):
     cached.write_bytes(entry)
     with pytest.raises(BackendError, match="unreadable cache entry"):
         chat(session, msgs)
+
+
+def test_chat_cache_entry_that_cannot_be_opened_is_backend_error(tmp_path):
+    # Only a missing entry is a miss; one that is there but cannot be read
+    # fails its call as any other unreadable entry does.
+    session = remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path)
+    msgs = [{"role": "user", "content": "hi"}]
+    assert chat(session, msgs) == "answer"
+    [cached] = tmp_path.iterdir()
+    cached.unlink()
+    cached.mkdir()
+    with pytest.raises(BackendError, match="unreadable cache entry .*IsADirectoryError"):
+        chat(session, msgs)
+
+
+@pytest.mark.parametrize("module, name", [(json, "dumps"), (os, "replace")], ids=["write", "rename"])
+def test_chat_cache_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch, module, name):
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(module, name, no_space)
+    session = remote_session(lambda body: ok_response("answer"), cache_dir=tmp_path)
+    with pytest.raises(OSError) as info:
+        chat(session, [{"role": "user", "content": "hi"}])
+    assert info.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chat_reads_a_cache_entry_from_another_writer(tmp_path):
@@ -390,6 +419,118 @@ def test_remediation_quality_reads_a_malformed_tag_as_absent(tag):
 def test_every_six_decimal_tag_reads_as_its_value(q):
     assert remediation_quality(scripted_remediation_text(q)) == float(f"{q:.6f}")
     assert remediation_quality(f"[q={q:.6f}]".replace("[q=0.", "[q=.")) == float(f"{q:.6f}")
+
+
+def reference_move(world, state, role, violation=False, quality=None):
+    """``bargain_move`` as it read before it was tuned for speed, verbatim,
+    on a plain namespace."""
+    if state.terminal:
+        raise BackendError("scripted world stepped after terminal state")
+
+    if role == "buyer":
+        gap = state.ask - state.bid
+        factor = max(state.goodwill, 0.0) / 2.0
+        state.bid += world.concession_buyer * gap * factor
+        state.pending_ask = state.ask - world.concession_seller * gap
+        return
+
+    if role != "seller":
+        raise BackendError(f"unknown scripted role: {role}")
+
+    if state.pending_ask is not None:
+        state.ask = state.pending_ask
+        state.pending_ask = None
+    if violation:
+        state.goodwill -= 1.0
+        if quality is not None:
+            state.goodwill += quality
+            state.remediation_qualities.append(quality)
+        else:
+            state.unremediated_violations += 1
+
+    state.deal = state.ask - state.bid <= world.close_tolerance or state.bid >= state.ask
+    state.terminal = state.deal or state.goodwill <= 0.0
+
+
+def reference_outcome(state) -> NegotiationOutcome:
+    """``scripted_outcome`` as it read before it was tuned for speed, verbatim."""
+    qualities = list(state.remediation_qualities) + [0.0] * state.unremediated_violations
+    mean_q = sum(qualities) / len(qualities) if qualities else 1.0
+
+    if not state.deal:
+        return NegotiationOutcome(deal=False, trust_delta=-1, business_delta=-1)
+
+    price = round((state.bid + state.ask) / 2.0)
+    if state.unremediated_violations > 0:
+        trust = -1
+    elif mean_q >= 1.0:
+        trust = 1
+    else:
+        trust = 0
+    business = 1 if mean_q >= 0.5 else 0
+    return NegotiationOutcome(deal=True, price=price, trust_delta=trust, business_delta=business)
+
+
+def bargain_fields(state) -> tuple:
+    """A state's fields, each float as its exact bits: -0.0 is not 0.0 here."""
+    def bits(x):
+        return None if x is None else float.hex(x)
+
+    return (bits(state.bid), bits(state.ask), bits(state.goodwill), bits(state.pending_ask), state.deal,
+            state.terminal, [bits(q) for q in state.remediation_qualities], state.unremediated_violations)
+
+
+# Around zero and past it, where max(goodwill, 0.0) keeps its first argument.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, -1.0, 5e-324])
+
+
+@st.composite
+def bargains(draw):
+    """A world, a starting bargain (a world's own, or any one, its goodwill
+    spent or not) and a run of moves."""
+    buyer_init = draw(st.integers(0, 9_000))
+    seller_init = draw(st.integers(buyer_init + 1, 10_000))
+    world = ScriptedWorld(
+        bounds=PriceBounds(draw(st.integers(0, seller_init)), seller_init, buyer_init),
+        concession_buyer=draw(st.floats(0.01, 0.99)), concession_seller=draw(st.floats(0.01, 0.99)),
+        goodwill=draw(st.floats(0.25, 4.0)), close_tolerance=draw(st.integers(0, 500)),
+    )
+    if draw(st.booleans()):
+        start = BargainState.initial(world)
+        head = (start.bid, start.ask, start.goodwill, start.pending_ask)
+    else:
+        prices = st.one_of(st.floats(0.0, 10_000.0), st.sampled_from([-0.0, 0.0]))
+        head = (draw(prices), draw(prices), draw(st.one_of(st.floats(-3.0, 3.0), EDGE_FLOATS)),
+                draw(st.one_of(st.none(), prices)))
+    moves = st.tuples(st.sampled_from(["buyer", "seller"]), st.booleans(),
+                      st.one_of(st.none(), st.floats(0.0, 1.0)))
+    return world, head, draw(st.lists(moves, max_size=24))
+
+
+@given(bargains())
+@example((ScriptedWorld(PriceBounds(3500, 5000, 3000)), (-0.0, 5000.0, -0.0, None), [("buyer", False, None)]))
+@example((ScriptedWorld(PriceBounds(3500, 5000, 3000)), (3000.0, 5000.0, math.nan, None), [("buyer", False, None)]))
+@example((ScriptedWorld(PriceBounds(3500, 5000, 3000), goodwill=1.5),
+          (3000.0, 5000.0, 1.5, None), [("buyer", False, None), ("seller", True, None), ("buyer", False, None),
+                                        ("seller", True, 0.25), ("buyer", False, None), ("seller", True, None)]))
+def test_bargain_moves_match_the_reference_bit_for_bit(case):
+    # Both sides of the continue_rollout property call bargain_move, so only
+    # a copy of the rules can see a move that drifts, such as a max() that
+    # no longer returns -0.0 or NaN for a spent goodwill.
+    world, (bid, ask, goodwill, pending_ask), moves = case
+    state = BargainState(bid, ask, goodwill, pending_ask=pending_ask)
+    ref = SimpleNamespace(bid=bid, ask=ask, goodwill=goodwill, terminal=False, deal=False,
+                          pending_ask=pending_ask, remediation_qualities=[], unremediated_violations=0)
+    for role, violation, quality in moves:
+        if ref.terminal:
+            with pytest.raises(BackendError, match="after terminal state"):
+                bargain_move(world, state, role, violation, quality)
+            break
+        bargain_move(world, state, role, violation, quality)
+        reference_move(world, ref, role, violation, quality)
+        assert bargain_fields(state) == bargain_fields(ref)
+        assert type(state.deal) is type(state.terminal) is bool
+        assert scripted_outcome(world, state) == reference_outcome(ref)
 
 
 def test_scripted_closing_trace():

@@ -826,11 +826,13 @@ def hand_built(e: Exemplar, kind: str, other: tuple[Turn, ...]) -> str:
     if kind == "empty violation":
         rest = rest.replace('"violation_text": ' + json.dumps(e.violation_text, ensure_ascii=False),
                             '"violation_text": ""')
+    if kind == "trailing value":  # the other keys parse up to the value, which json.loads refuses
+        rest += " 7"
     return head + ", ".join(turns) + "], " + rest[1:]
 
 
 LINE_KINDS = ("dumped", "reordered", "spaced", "second history", "turn with an id",
-              "array key, then id", "malformed rest", "empty violation")
+              "array key, then id", "malformed rest", "empty violation", "trailing value")
 
 def turn_runs(texts):
     """Alternating runs of turns that open with the buyer."""
@@ -983,13 +985,15 @@ def corpus_row(d: Dialogue, kind: str, other: tuple[Turn, ...], first_id: str) -
         head = head[:-1] + ",}"
     if kind == "empty head":
         head = "{}"
+    if kind == "trailing value":  # the head parses up to the value, which json.loads refuses
+        return head + " 7" + core._TURNS_HEAD + ", ".join(turns) + "]}"
     return head[:-1] + core._TURNS_HEAD + ", ".join(turns) + "]}"
 
 
 CORPUS_LINE_KINDS = ("dumped", "reordered", "spaced", "second turns", "key inside the run", "turn with turns",
                      "malformed head",
                      "empty head", "no outcome, an error", "extra key", "seller opens", "duplicate id",
-                     "empty run")
+                     "empty run", "trailing value")
 # Kinds whose line holds the run as dump_dialogues writes it and loads.
 CANONICAL_RUN_KINDS = ("dumped", "spaced", "no outcome, an error", "extra key", "empty run")
 # Marker-like texts, which the writer escapes.

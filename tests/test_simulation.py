@@ -3,6 +3,7 @@ the remote lane against a stubbed transport."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -540,6 +541,26 @@ def test_remote_lane_reply_with_a_lone_surrogate_ends_only_its_dialogue(tmp_path
     assert loaded.error == "backend: malformed provider response: content holds a lone surrogate"
     assert loaded.outcome is None
     assert len(loaded.turns) == (2 if role == "buyer" else 3)
+
+
+@pytest.mark.parametrize("role", ["buyer", "seller"])
+def test_remote_lane_unopenable_cache_entry_ends_only_its_dialogue(tmp_path, bounds, templates, role):
+    # A directory where the role's cache entries should be: the warm rerun's
+    # first such turn fails as a backend error, kept in the dialogue.
+    session = replace(remote(scripted_transport(REMOTE_SCRIPT)), cache_dir=tmp_path)
+    config = SimulationConfig(p_c=0.0, seed=1, max_turns=6)
+    cold = simulate(session, session, session, config, templates, evaluator=session, bounds=bounds)
+    assert cold.error is None
+    reply = dict(REMOTE_SCRIPT)[f"You are a {role}"]
+    entries = [p for p in tmp_path.iterdir() if json.loads(p.read_text(encoding="utf-8"))["content"] == reply]
+    assert entries
+    for entry in entries:
+        entry.unlink()
+        entry.mkdir()
+    d = simulate(session, session, session, config, templates, evaluator=session, bounds=bounds)
+    assert d.error.startswith("backend: unreadable cache entry ")
+    assert d.outcome is None
+    assert d.turns == cold.turns[: 2 if role == "buyer" else 3]
 
 
 class WorldTransport:
